@@ -16,6 +16,14 @@ pub struct Forest<P: TreeParams> {
     arena: Arena<Node<P>>,
 }
 
+/// What a node caches about its subtree, plus its children's heights.
+struct Summary<P: TreeParams> {
+    aug: P::Aug,
+    size: u32,
+    hl: u8,
+    hr: u8,
+}
+
 impl<P: TreeParams> Default for Forest<P> {
     fn default() -> Self {
         Self::new()
@@ -151,23 +159,36 @@ impl<P: TreeParams> Forest<P> {
     // Node construction / destruction (the PLM `tuple` instruction)
     // ------------------------------------------------------------------
 
-    /// Create a node owning `l` and `r` (ownership of both transfers in).
-    pub(crate) fn make(&self, l: Root, key: P::K, value: P::V, r: Root) -> NodeId {
-        let mut aug = P::make_aug(&key, &value);
+    /// The cached fields of a node with entry `(key, value)` over the
+    /// children `l` and `r`, reading each child exactly once.
+    #[inline]
+    fn summarize(&self, l: Root, key: &P::K, value: &P::V, r: Root) -> Summary<P> {
+        let mut aug = P::make_aug(key, value);
+        let (mut size, mut hl, mut hr) = (1u32, 0u8, 0u8);
         if let Some(lid) = l.get() {
-            aug = P::combine(&self.node(lid).aug, &aug);
+            let n = self.node(lid);
+            aug = P::combine(&n.aug, &aug);
+            size += n.size;
+            hl = n.height;
         }
         if let Some(rid) = r.get() {
-            aug = P::combine(&aug, &self.node(rid).aug);
+            let n = self.node(rid);
+            aug = P::combine(&aug, &n.aug);
+            size += n.size;
+            hr = n.height;
         }
-        let size = 1 + self.size(l) as u32 + self.size(r) as u32;
-        let height = 1 + self.height(l).max(self.height(r));
+        Summary { aug, size, hl, hr }
+    }
+
+    /// Create a node owning `l` and `r` (ownership of both transfers in).
+    pub(crate) fn make(&self, l: Root, key: P::K, value: P::V, r: Root) -> NodeId {
+        let Summary { aug, size, hl, hr } = self.summarize(l, &key, &value, r);
         self.arena.alloc(Node {
             key,
             value,
             aug,
             size,
-            height,
+            height: 1 + hl.max(hr),
             left: l,
             right: r,
         })
@@ -180,6 +201,13 @@ impl<P: TreeParams> Forest<P> {
     /// place (no copy, slot recycled); otherwise the entry is cloned and
     /// the children gain one owner each — this is exactly path copying,
     /// performed lazily at the moment a shared node must change.
+    ///
+    /// This is the primitive of the join algebra (`join`, `split`,
+    /// `split_last` and the bulk operations built on them), where both
+    /// children of an exposed node go on to separate owners. The point
+    /// updates [`Forest::insert_with`] and [`Forest::remove`] do not use
+    /// it on their way down: they keep one child where it is, so they
+    /// descend by borrow and touch only the off-path sibling's count.
     pub(crate) fn expose_owned(&self, id: NodeId) -> (Root, P::K, P::V, Root) {
         if self.arena.rc(id) == 1 {
             // Exclusive: move everything out, recycle the slot.
@@ -208,30 +236,33 @@ impl<P: TreeParams> Forest<P> {
     pub(crate) fn join(&self, l: Root, key: P::K, value: P::V, r: Root) -> Root {
         let (hl, hr) = (self.height(l), self.height(r));
         if hl > hr + 1 {
-            OptNodeId::some(self.join_right(l.unwrap(), key, value, r))
+            OptNodeId::some(self.join_right(l.unwrap(), key, value, r, hr))
         } else if hr > hl + 1 {
-            OptNodeId::some(self.join_left(l, key, value, r.unwrap()))
+            OptNodeId::some(self.join_left(l, hl, key, value, r.unwrap()))
         } else {
             OptNodeId::some(self.make(l, key, value, r))
         }
     }
 
-    /// `height(l) > height(r) + 1`: descend l's right spine.
-    fn join_right(&self, l: NodeId, key: P::K, value: P::V, r: Root) -> NodeId {
+    /// `height(l) > hr + 1` where `hr = height(r)`: descend l's right
+    /// spine.
+    fn join_right(&self, l: NodeId, key: P::K, value: P::V, r: Root, hr: u8) -> NodeId {
         let (ll, lk, lv, lr) = self.expose_owned(l);
-        if self.height(lr) <= self.height(r) + 1 {
+        let (hll, hlr) = (self.height(ll), self.height(lr));
+        if hlr <= hr + 1 {
             let t = self.make(lr, key, value, r);
-            if self.height(OptNodeId::some(t)) <= self.height(ll) + 1 {
+            // height(t) = 1 + max(hlr, hr), to stay within hll + 1.
+            if hlr.max(hr) <= hll {
                 self.make(ll, lk, lv, OptNodeId::some(t))
             } else {
                 let rotated = self.rotate_right(t);
                 self.rotate_left(self.make(ll, lk, lv, OptNodeId::some(rotated)))
             }
         } else {
-            let t = self.join_right(lr.unwrap(), key, value, r);
+            let t = self.join_right(lr.unwrap(), key, value, r, hr);
             let th = self.node(t).height;
             let joined = self.make(ll, lk, lv, OptNodeId::some(t));
-            if th <= self.height(ll) + 1 {
+            if th <= hll + 1 {
                 joined
             } else {
                 self.rotate_left(joined)
@@ -239,22 +270,24 @@ impl<P: TreeParams> Forest<P> {
         }
     }
 
-    /// Mirror image of [`Forest::join_right`].
-    fn join_left(&self, l: Root, key: P::K, value: P::V, r: NodeId) -> NodeId {
+    /// Mirror image of [`Forest::join_right`] (`hl = height(l)`).
+    fn join_left(&self, l: Root, hl: u8, key: P::K, value: P::V, r: NodeId) -> NodeId {
         let (rl, rk, rv, rr) = self.expose_owned(r);
-        if self.height(rl) <= self.height(l) + 1 {
+        let (hrl, hrr) = (self.height(rl), self.height(rr));
+        if hrl <= hl + 1 {
             let t = self.make(l, key, value, rl);
-            if self.height(OptNodeId::some(t)) <= self.height(rr) + 1 {
+            // height(t) = 1 + max(hl, hrl), to stay within hrr + 1.
+            if hl.max(hrl) <= hrr {
                 self.make(OptNodeId::some(t), rk, rv, rr)
             } else {
                 let rotated = self.rotate_left(t);
                 self.rotate_right(self.make(OptNodeId::some(rotated), rk, rv, rr))
             }
         } else {
-            let t = self.join_left(l, key, value, rl.unwrap());
+            let t = self.join_left(l, hl, key, value, rl.unwrap());
             let th = self.node(t).height;
             let joined = self.make(OptNodeId::some(t), rk, rv, rr);
-            if th <= self.height(rr) + 1 {
+            if th <= hrr + 1 {
                 joined
             } else {
                 self.rotate_right(joined)
@@ -330,12 +363,44 @@ impl<P: TreeParams> Forest<P> {
         OptNodeId::some(self.make(OptNodeId::NONE, key, value, OptNodeId::NONE))
     }
 
+    // Both point updates walk one root-to-key path and keep every
+    // off-path subtree where it is. How a node on the path is replaced
+    // depends on who else can see it:
+    //
+    // * **Exclusive** (`rc == 1`, and the caller owns that reference):
+    //   no version and no other thread can reach the node — it was
+    //   created earlier in the same transaction, or the whole tree has a
+    //   single owner. It is updated in place. Its children are owned by
+    //   it alone, so each child is consumed as an owned root in turn
+    //   (exclusive again, or shared from there down).
+    // * **Shared** (`rc > 1`): the node is read *by borrow* through the
+    //   caller's root reference, which pins the whole old tree for the
+    //   duration of the descent. The on-path child is borrowed in turn;
+    //   the off-path sibling gains its one new owner (the copy); the
+    //   copy is a fresh node. Below a shared node every node is shared
+    //   whatever its own count says (its count-1 owner is the shared
+    //   parent, not the caller), so the descent stays borrowed. The
+    //   caller's reference to the old root is given up once, at the top,
+    //   after the new tree is complete.
+    //
+    // Per copied node that is one `inc` and one allocation, against
+    // `expose_owned`'s two `inc`s and a decrement.
+    //
+    // A panic out of `P`'s hooks or `combine` mid-update leaks the nodes
+    // of the unfinished path; they are unreachable from any version, and
+    // nothing traverses them again.
+
     /// Insert (replacing any existing value). Consumes `t`.
     pub fn insert(&self, t: Root, key: P::K, value: P::V) -> Root {
         self.insert_with(t, key, value, |_old, new| new.clone())
     }
 
     /// Insert, resolving duplicates with `combine(old, new)`. Consumes `t`.
+    ///
+    /// Costs one allocation and one reference-count increment per shared
+    /// node on the path to `key` (none for nodes this owner holds
+    /// exclusively, which are updated in place), plus one decrement of
+    /// `t` itself.
     pub fn insert_with(
         &self,
         t: Root,
@@ -346,41 +411,170 @@ impl<P: TreeParams> Forest<P> {
         let Some(id) = t.get() else {
             return self.singleton(key, value);
         };
-        let (l, k, v, r) = self.expose_owned(id);
-        match key.cmp(&k) {
+        if self.arena.rc(id) == 1 {
+            return OptNodeId::some(self.insert_exclusive(id, key, value, combine));
+        }
+        let new = self.insert_shared(id, key, value, combine);
+        self.arena.collect(id);
+        new
+    }
+
+    /// Insert below a node read by borrow; returns an owned new subtree
+    /// and leaves every count on the old path untouched.
+    fn insert_shared(
+        &self,
+        id: NodeId,
+        key: P::K,
+        value: P::V,
+        combine: impl Fn(&P::V, &P::V) -> P::V + Copy,
+    ) -> Root {
+        let n = self.node(id);
+        let descend = |child: Root, key, value| match child.get() {
+            Some(c) => self.insert_shared(c, key, value, combine),
+            None => self.singleton(key, value),
+        };
+        match key.cmp(&n.key) {
             std::cmp::Ordering::Less => {
-                let l2 = self.insert_with(l, key, value, combine);
-                self.join(l2, k, v, r)
+                let l2 = descend(n.left, key, value);
+                self.arena.inc_opt(n.right);
+                self.join(l2, n.key.clone(), n.value.clone(), n.right)
             }
             std::cmp::Ordering::Greater => {
-                let r2 = self.insert_with(r, key, value, combine);
-                self.join(l, k, v, r2)
+                let r2 = descend(n.right, key, value);
+                self.arena.inc_opt(n.left);
+                self.join(n.left, n.key.clone(), n.value.clone(), r2)
             }
             std::cmp::Ordering::Equal => {
-                let merged = combine(&v, &value);
-                self.join(l, key, merged, r)
+                let merged = combine(&n.value, &value);
+                self.arena.inc_opt(n.left);
+                self.arena.inc_opt(n.right);
+                OptNodeId::some(self.make(n.left, key, merged, n.right))
             }
         }
     }
 
+    /// Insert into an exclusively owned node, in place where the result
+    /// stays balanced. Consumes the caller's reference to `id`.
+    fn insert_exclusive(
+        &self,
+        id: NodeId,
+        key: P::K,
+        value: P::V,
+        combine: impl Fn(&P::V, &P::V) -> P::V + Copy,
+    ) -> NodeId {
+        let n = self.node(id);
+        let (l, r) = (n.left, n.right);
+        match key.cmp(&n.key) {
+            std::cmp::Ordering::Less => {
+                let l2 = self.insert_with(l, key, value, combine);
+                self.relink(id, l2, r)
+            }
+            std::cmp::Ordering::Greater => {
+                let r2 = self.insert_with(r, key, value, combine);
+                self.relink(id, l, r2)
+            }
+            std::cmp::Ordering::Equal => {
+                let merged = combine(&n.value, &value);
+                let aug = self.summarize(l, &key, &merged, r).aug;
+                debug_assert_eq!(self.arena.rc(id), 1, "in-place update of a shared node");
+                // SAFETY: `rc == 1` and the caller owns that reference,
+                // so no version and no other thread can reach this node.
+                let n = unsafe { self.arena.get_mut_unchecked(id) };
+                (n.key, n.value, n.aug) = (key, merged, aug);
+                id
+            }
+        }
+    }
+
+    /// Give the exclusively owned node `id` the children `l` and `r`
+    /// (both owned by the caller, transferred in; the node's previous
+    /// links have already been consumed). In place when the children
+    /// balance, otherwise the node is dismantled and re-joined.
+    fn relink(&self, id: NodeId, l: Root, r: Root) -> NodeId {
+        let n = self.node(id);
+        let Summary { aug, size, hl, hr } = self.summarize(l, &n.key, &n.value, r);
+        if hl.abs_diff(hr) > 1 {
+            let n = self.arena.take(id);
+            return self.join(l, n.key, n.value, r).unwrap();
+        }
+        debug_assert_eq!(self.arena.rc(id), 1, "in-place update of a shared node");
+        // SAFETY: `rc == 1` and the caller owns that reference, so no
+        // version and no other thread can reach this node.
+        let n = unsafe { self.arena.get_mut_unchecked(id) };
+        (n.left, n.right, n.aug, n.size) = (l, r, aug, size);
+        n.height = 1 + hl.max(hr);
+        id
+    }
+
     /// Remove `key`; returns the new root and the removed value, if any.
-    /// Consumes `t`.
+    /// Consumes `t`. When `key` is absent the result *is* `t` (the
+    /// caller's reference handed back): nothing is copied.
     pub fn remove(&self, t: Root, key: &P::K) -> (Root, Option<P::V>) {
         let Some(id) = t.get() else {
             return (OptNodeId::NONE, None);
         };
-        let (l, k, v, r) = self.expose_owned(id);
-        match key.cmp(&k) {
+        if self.arena.rc(id) == 1 {
+            return self.remove_exclusive(id, key);
+        }
+        match self.remove_shared(id, key) {
+            Some((new, removed)) => {
+                self.arena.collect(id);
+                (new, Some(removed))
+            }
+            None => (t, None),
+        }
+    }
+
+    /// Remove below a node read by borrow; `None` if `key` is absent,
+    /// otherwise an owned new subtree and the removed value. Leaves
+    /// every count on the old path untouched.
+    fn remove_shared(&self, id: NodeId, key: &P::K) -> Option<(Root, P::V)> {
+        let n = self.node(id);
+        match key.cmp(&n.key) {
+            std::cmp::Ordering::Less => {
+                let (l2, removed) = self.remove_shared(n.left.get()?, key)?;
+                self.arena.inc_opt(n.right);
+                let t = self.join(l2, n.key.clone(), n.value.clone(), n.right);
+                Some((t, removed))
+            }
+            std::cmp::Ordering::Greater => {
+                let (r2, removed) = self.remove_shared(n.right.get()?, key)?;
+                self.arena.inc_opt(n.left);
+                let t = self.join(n.left, n.key.clone(), n.value.clone(), r2);
+                Some((t, removed))
+            }
+            std::cmp::Ordering::Equal => {
+                self.arena.inc_opt(n.left);
+                self.arena.inc_opt(n.right);
+                Some((self.join2(n.left, n.right), n.value.clone()))
+            }
+        }
+    }
+
+    /// Remove from an exclusively owned node, in place where the result
+    /// stays balanced. Consumes the caller's reference to `id`.
+    fn remove_exclusive(&self, id: NodeId, key: &P::K) -> (Root, Option<P::V>) {
+        let n = self.node(id);
+        let (l, r) = (n.left, n.right);
+        let (l2, r2, removed) = match key.cmp(&n.key) {
             std::cmp::Ordering::Less => {
                 let (l2, removed) = self.remove(l, key);
-                (self.join(l2, k, v, r), removed)
+                (l2, r, removed)
             }
             std::cmp::Ordering::Greater => {
                 let (r2, removed) = self.remove(r, key);
-                (self.join(l, k, v, r2), removed)
+                (l, r2, removed)
             }
-            std::cmp::Ordering::Equal => (self.join2(l, r), Some(v)),
+            std::cmp::Ordering::Equal => {
+                let n = self.arena.take(id);
+                return (self.join2(l, r), Some(n.value));
+            }
+        };
+        if removed.is_none() {
+            // Absent: the child came back as it was.
+            return (OptNodeId::some(id), None);
         }
+        (OptNodeId::some(self.relink(id, l2, r2)), removed)
     }
 
     // ------------------------------------------------------------------

@@ -32,6 +32,15 @@
 //! assert_eq!(f.arena().live(), 0);    // precise: nothing leaks
 //! ```
 //!
+//! That convention holds at every public entry point. Inside one, the
+//! point updates ([`Forest::insert_with`], [`Forest::remove`]) read a
+//! node that has other owners *by borrow* through the caller's root
+//! reference — held until the new tree is complete, then given up with
+//! one decrement — so a path copy costs one allocation and one count
+//! (the off-path sibling's) per level; a node only this caller owns
+//! (count 1: created earlier in the same transaction) is updated in
+//! place.
+//!
 //! Read operations ([`Forest::get`], [`Forest::aug_range`], iteration)
 //! never touch reference counts — this is what makes the paper's read
 //! transactions *delay-free*: a query is exactly the sequential tree

@@ -36,9 +36,12 @@
 //! this is invisible to readers.
 //!
 //! [`Arena::collect`] additionally *buffers* frees: freed slots are
-//! linked into a private chain and spliced onto the shard freelist with
-//! one CAS per [`FREE_BUF`] tuples, so collecting a large version does
-//! not CAS a shared head once per tuple.
+//! linked into a private chain (through their own metadata words — no
+//! side buffer) and spliced onto the shard freelist with one CAS per
+//! [`FREE_BUF`] tuples, so collecting a large version does not CAS a
+//! shared head once per tuple. A `collect` that only drops a count —
+//! the root still has other owners — is a single `fetch_sub`: no heap,
+//! no thread-local, no shard lookup.
 //!
 //! ## Per-slot metadata
 //!
@@ -131,11 +134,13 @@ struct Shard {
     /// Serializes window refills (rare: once per [`FRESH_BLOCK`] fresh
     /// allocations) so a lost install race cannot leak a carved block.
     refill_lock: AtomicBool,
+    /// The only two per-call counters; `live` is always derived as
+    /// their difference (see [`ArenaStats`]).
     allocated: AtomicU64,
     freed: AtomicU64,
-    /// May transiently dip negative when frees land on a different shard
-    /// than the matching allocs.
-    live: AtomicI64,
+    /// High-water mark of `allocated - freed`, sampled only when an
+    /// allocation finds this shard's freelist empty — the one place a
+    /// new high can occur (see [`ArenaStats::peak_live`]).
     peak_live: AtomicI64,
 }
 
@@ -147,7 +152,6 @@ impl Shard {
             refill_lock: AtomicBool::new(false),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            live: AtomicI64::new(0),
             peak_live: AtomicI64::new(0),
         }
     }
@@ -205,6 +209,13 @@ thread_local! {
     /// seed)`. Keyed per arena so pinning one arena never reroutes a
     /// different arena the same thread touches inside the scope.
     static PINNED_SEED: Cell<(usize, u32)> = const { Cell::new((0, NO_PIN)) };
+    /// Scratch for the freeing path of [`Arena::collect`]: tuples whose
+    /// count reached zero and whose slots are still to be freed. Taken
+    /// for the duration of a collection and handed back with its
+    /// capacity, so steady-state collection performs no heap allocation
+    /// (a destructor that re-enters `collect` on this thread simply
+    /// finds an empty `Vec` and grows its own).
+    static DEAD_STACK: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
 /// RAII guard for [`Arena::pin`]: restores the previous pin (if any) on
@@ -229,14 +240,22 @@ pub struct ArenaStats {
     pub allocated_total: u64,
     /// Total number of slots freed by `collect`.
     pub freed_total: u64,
-    /// Currently allocated (not yet freed) slots.
+    /// Currently allocated (not yet freed) slots. Always *derived*:
+    /// `allocated_total − freed_total` of this same snapshot (the arena
+    /// keeps no separate live counter), so it is exact in quiescence and
+    /// within the in-flight calls of either total otherwise.
     pub live: u64,
-    /// Sum of the per-shard high-water marks of `allocs − frees` as
-    /// observed by each shard. Exact when each shard's frees balance its
-    /// allocs (the affine/pinned pattern, and any single-threaded use);
-    /// when frees deliberately migrate to other shards the alloc-side
-    /// shards' marks never come down, so this inflates toward
-    /// `allocated_total` and is only a (possibly vacuous) upper bound.
+    /// Sum of the per-shard high-water marks of `allocs − frees`. A
+    /// shard samples its mark only when an allocation finds its own
+    /// freelist empty (fresh window, steal or refill): while recycled
+    /// slots are available the shard's balance is below what it was when
+    /// the last of them was first handed out, so no new high can occur
+    /// on the recycling path and it pays nothing for this statistic.
+    /// Exact when each shard's frees balance its allocs (the
+    /// affine/pinned pattern, and any single-threaded use); when frees
+    /// deliberately migrate to other shards the alloc-side shards' marks
+    /// never come down, so this inflates toward `allocated_total` and is
+    /// only a (possibly vacuous) upper bound.
     pub peak_live: u64,
     /// Number of allocator shards.
     pub shards: u64,
@@ -459,31 +478,24 @@ impl<T: Tuple> Arena<T> {
     }
 
     /// Splice a privately linked chain of freed slots onto the shard
-    /// freelist with a single CAS. `entries` are `(index, bumped
-    /// generation)` pairs; none of them is reachable by any other thread
-    /// until the CAS publishes the first one.
-    fn push_free_chain(&self, shard: &Shard, entries: &[(u32, u64)]) {
-        debug_assert!(!entries.is_empty());
-        for w in entries.windows(2) {
-            let (idx, gen) = w[0];
-            self.slot(NodeId(idx))
-                .meta
-                .store((gen << GEN_SHIFT) | w[1].0 as u64, Ordering::Release);
-        }
-        let (first, _) = entries[0];
-        let (last, last_gen) = entries[entries.len() - 1];
-        let last_slot = self.slot(NodeId(last));
+    /// freelist with a single CAS. The chain runs `head → … → tail`
+    /// through the slots' own metadata words (each already holds its
+    /// bumped generation and its successor); only the tail's link is
+    /// written here. None of the slots is reachable by any other thread
+    /// until the CAS publishes `head`.
+    fn push_free_chain(&self, shard: &Shard, head: u32, tail: u32, tail_gen: u64) {
+        let tail_slot = self.slot(NodeId(tail));
         loop {
-            let head = shard.free_head.load(Ordering::Acquire);
-            let tag = head >> 32;
-            last_slot.meta.store(
-                (last_gen << GEN_SHIFT) | (head & LOW_MASK),
+            let old_head = shard.free_head.load(Ordering::Acquire);
+            let tag = old_head >> 32;
+            tail_slot.meta.store(
+                (tail_gen << GEN_SHIFT) | (old_head & LOW_MASK),
                 Ordering::Release,
             );
-            let new_head = ((tag + 1) << 32) | first as u64;
+            let new_head = ((tag + 1) << 32) | head as u64;
             if shard
                 .free_head
-                .compare_exchange_weak(head, new_head, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_weak(old_head, new_head, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 return;
@@ -582,15 +594,18 @@ impl<T: Tuple> Arena<T> {
     /// [`Arena::alloc`] through an explicit shard context.
     pub fn alloc_in(&self, ctx: AllocCtx, value: T) -> NodeId {
         let shard = self.shard(ctx);
-        let id = match self.pop_free(shard) {
-            Some(id) => id,
-            None => match self.pop_fresh(shard) {
-                Some(id) => id,
-                None => match self.steal(ctx) {
+        let (id, recycled) = match self.pop_free(shard) {
+            Some(id) => (id, true),
+            None => {
+                let id = match self.pop_fresh(shard) {
                     Some(id) => id,
-                    None => self.refill_fresh(shard),
-                },
-            },
+                    None => match self.steal(ctx) {
+                        Some(id) => id,
+                        None => self.refill_fresh(shard),
+                    },
+                };
+                (id, false)
+            }
         };
         let slot = self.slot(id);
         let gen = (slot.meta.load(Ordering::Acquire) & GEN_MASK) >> GEN_SHIFT;
@@ -600,9 +615,13 @@ impl<T: Tuple> Arena<T> {
         // Publish: value write happens-before any Acquire load of the meta.
         slot.meta
             .store(OCCUPIED | (gen << GEN_SHIFT) | 1, Ordering::Release);
-        shard.allocated.fetch_add(1, Ordering::Relaxed);
-        let live = shard.live.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.peak_live.fetch_max(live, Ordering::Relaxed);
+        let allocated = shard.allocated.fetch_add(1, Ordering::Relaxed) + 1;
+        if !recycled {
+            // The shard's freelist was empty: the only point at which
+            // its `allocated - freed` balance can reach a new high.
+            let live = allocated as i64 - shard.freed.load(Ordering::Relaxed) as i64;
+            shard.peak_live.fetch_max(live, Ordering::Relaxed);
+        }
         id
     }
 
@@ -692,59 +711,103 @@ impl<T: Tuple> Arena<T> {
     /// if that was the last owner, free the tuple and collect its children.
     /// Returns the number of tuples freed (the `S` of Theorem 4.2 — total
     /// work is `O(S + 1)`). Freed slots go to the calling thread's shard.
+    ///
+    /// When `root` has other owners this is one `fetch_sub` and returns
+    /// 0; the shard context is only resolved on the freeing path.
     pub fn collect(&self, root: NodeId) -> usize {
-        self.collect_in(self.ctx(), root)
+        if !self.release_ref(root) {
+            return 0;
+        }
+        self.free_dead(self.shard(self.ctx()), root)
     }
 
     /// [`Arena::collect`] through an explicit shard context. Frees are
-    /// buffered and spliced onto the shard freelist `FREE_BUF` at a
+    /// chained and spliced onto the shard freelist `FREE_BUF` at a
     /// time, so a large precise collection performs `O(S / FREE_BUF)`
     /// head CASes instead of `O(S)`.
     pub fn collect_in(&self, ctx: AllocCtx, root: NodeId) -> usize {
-        let shard = self.shard(ctx);
+        if !self.release_ref(root) {
+            return 0;
+        }
+        self.free_dead(self.shard(ctx), root)
+    }
+
+    /// Give up one owned reference to `id`. Returns `true` if that was
+    /// the last owner: the tuple is then *dead* — unreachable by any
+    /// other thread — and the caller must free it.
+    #[inline]
+    fn release_ref(&self, id: NodeId) -> bool {
+        let old = self.slot(id).meta.fetch_sub(1, Ordering::Release);
+        debug_assert!(old & OCCUPIED != 0, "collect of freed slot {id:?}");
+        debug_assert!(old & LOW_MASK >= 1, "rc underflow at {id:?}");
+        if old & LOW_MASK != 1 {
+            return false;
+        }
+        // Last owner: synchronize with all prior decrements before the
+        // value is torn down. (Same fence protocol as `Arc::drop`.)
+        fence(Ordering::Acquire);
+        true
+    }
+
+    /// The freeing path of `collect`: `root`'s count has just reached
+    /// zero. Frees it and every descendant whose count thereby reaches
+    /// zero, and returns how many tuples that was.
+    ///
+    /// Children are decremented as their parent is dismantled and only
+    /// the dead ones are stacked, so a surviving (shared) child costs
+    /// exactly one `fetch_sub`.
+    fn free_dead(&self, shard: &Shard, root: NodeId) -> usize {
+        let mut dead = DEAD_STACK.take();
         let mut freed = 0usize;
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut buf: Vec<(u32, u64)> = Vec::with_capacity(FREE_BUF);
+        // The private chain of freed slots awaiting their splice:
+        // `head` is the most recently freed slot, `tail` the first.
+        let (mut head, mut tail, mut tail_gen, mut chained) = (NIL, NIL, 0u64, 0usize);
         let mut cur = Some(root);
-        while let Some(id) = cur.take().or_else(|| stack.pop()) {
+        while let Some(id) = cur.take().or_else(|| dead.pop()) {
             let slot = self.slot(id);
-            let old = slot.meta.fetch_sub(1, Ordering::Release);
-            debug_assert!(old & OCCUPIED != 0, "collect of freed slot {id:?}");
-            debug_assert!(old & LOW_MASK >= 1, "rc underflow at {id:?}");
-            if old & LOW_MASK == 1 {
-                // Last owner: synchronize with all prior decrements, then
-                // free. (Same fence protocol as `Arc::drop`.)
-                fence(Ordering::Acquire);
-                let gen = ((old & GEN_MASK) >> GEN_SHIFT).wrapping_add(1) & (GEN_MASK >> GEN_SHIFT);
-                // Clear OCCUPIED (with the bumped generation) *before*
-                // running the destructor: if `drop` panics and unwinds
-                // past the buffered flush below, the slot — and any
-                // buffered predecessors — read as free, so `Arena::drop`
-                // cannot double-drop them (they leak off-freelist, which
-                // is safe). No other thread can observe this store: the
-                // slot is off every freelist and rc has reached zero.
-                slot.meta
-                    .store((gen << GEN_SHIFT) | NIL as u64, Ordering::Relaxed);
-                unsafe {
-                    let value = (*slot.value.get()).assume_init_mut();
-                    value.for_each_child(&mut |child| stack.push(child));
-                    std::ptr::drop_in_place(value as *mut T);
-                }
-                buf.push((id.0, gen));
-                if buf.len() == FREE_BUF {
-                    self.push_free_chain(shard, &buf);
-                    buf.clear();
-                }
-                freed += 1;
+            // Count zero, so this thread is the slot's only accessor.
+            let meta = slot.meta.load(Ordering::Relaxed);
+            debug_assert_eq!(meta & !GEN_MASK, OCCUPIED, "freeing a live slot {id:?}");
+            let gen = ((meta & GEN_MASK) >> GEN_SHIFT).wrapping_add(1) & (GEN_MASK >> GEN_SHIFT);
+            // Clear OCCUPIED (with the bumped generation, linked in
+            // front of the private chain) *before* running the
+            // destructor: if `drop` panics and unwinds past the splice
+            // below, the slot — and its chained predecessors — read as
+            // free, so `Arena::drop` cannot double-drop them (they leak
+            // off-freelist, which is safe; stacked dead tuples still
+            // read as occupied and are dropped with the arena). No other
+            // thread can observe this store: the slot is off every
+            // freelist and rc has reached zero.
+            slot.meta
+                .store((gen << GEN_SHIFT) | head as u64, Ordering::Relaxed);
+            if chained == 0 {
+                (tail, tail_gen) = (id.0, gen);
             }
+            head = id.0;
+            chained += 1;
+            // SAFETY: the slot was occupied with its count at zero, so
+            // the value is initialized and this thread is its only
+            // accessor; it is dropped exactly once, here.
+            unsafe {
+                let value = (*slot.value.get()).assume_init_mut();
+                value.for_each_child(&mut |child| {
+                    if self.release_ref(child) {
+                        dead.push(child);
+                    }
+                });
+                std::ptr::drop_in_place(value as *mut T);
+            }
+            if chained == FREE_BUF {
+                self.push_free_chain(shard, head, tail, tail_gen);
+                (head, chained) = (NIL, 0);
+            }
+            freed += 1;
         }
-        if !buf.is_empty() {
-            self.push_free_chain(shard, &buf);
+        if chained > 0 {
+            self.push_free_chain(shard, head, tail, tail_gen);
         }
-        if freed > 0 {
-            shard.freed.fetch_add(freed as u64, Ordering::Relaxed);
-            shard.live.fetch_sub(freed as i64, Ordering::Relaxed);
-        }
+        DEAD_STACK.set(dead);
+        shard.freed.fetch_add(freed as u64, Ordering::Relaxed);
         freed
     }
 
@@ -768,9 +831,8 @@ impl<T: Tuple> Arena<T> {
         // other thread can read or modify this slot.
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         let gen = ((meta & GEN_MASK) >> GEN_SHIFT).wrapping_add(1) & (GEN_MASK >> GEN_SHIFT);
-        self.push_free_chain(shard, &[(id.0, gen)]);
+        self.push_free_chain(shard, id.0, id.0, gen);
         shard.freed.fetch_add(1, Ordering::Relaxed);
-        shard.live.fetch_sub(1, Ordering::Relaxed);
         value
     }
 

@@ -364,7 +364,7 @@ impl Wal {
         let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
         header.extend_from_slice(SEGMENT_MAGIC);
         header.extend_from_slice(&seq.to_le_bytes());
-        append_retry(storage, retry, &name, &header)?;
+        append_retry(storage, retry, &name, 0, &header)?;
         Ok(SegmentMeta {
             seq,
             bytes: SEGMENT_HEADER_BYTES,
@@ -397,7 +397,13 @@ impl Wal {
         let name = inner.cur.name();
         let prev = inner.cur.clone();
         let prev_since_sync = inner.appends_since_sync;
-        append_retry(&self.storage, &self.cfg.retry, &name, &inner.scratch)?;
+        append_retry(
+            &self.storage,
+            &self.cfg.retry,
+            &name,
+            inner.cur.bytes,
+            &inner.scratch,
+        )?;
         inner.cur.bytes += inner.scratch.len() as u64;
         inner.cur.batches += 1;
         inner.cur.last_ts = batch.commit_ts;
@@ -752,7 +758,13 @@ impl Wal {
 
         let name = inner.cur.name();
         let res = (|| -> Result<(), WalError> {
-            append_retry(&self.storage, &self.cfg.retry, &name, &inner.scratch)?;
+            append_retry(
+                &self.storage,
+                &self.cfg.retry,
+                &name,
+                inner.cur.bytes,
+                &inner.scratch,
+            )?;
             inner.cur.bytes += inner.scratch.len() as u64;
             inner.cur.batches += ends.len() as u64;
             inner.cur.last_ts = last_ts;
@@ -814,18 +826,16 @@ impl Wal {
 /// Append with bounded retry and partial-write rollback: transient
 /// failures back off exponentially; before each retry any bytes the
 /// failed attempt landed are truncated away so a retried frame can never
-/// corrupt the middle of the log.
+/// corrupt the middle of the log. `base` is the file's length before the
+/// append — the log tracks it, so the storage is only asked for a length
+/// after a failure.
 fn append_retry(
     storage: &Arc<dyn Storage>,
     retry: &RetryPolicy,
     name: &str,
+    base: u64,
     data: &[u8],
 ) -> Result<(), WalError> {
-    let base = match storage.len(name) {
-        Ok(l) => l,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(io_err("len", name, e)),
-    };
     let mut backoff = retry.initial_backoff;
     for attempt in 0.. {
         match storage.append(name, data) {

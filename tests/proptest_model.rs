@@ -2,7 +2,7 @@
 //! bulk algebra, and the batching writer are all checked against
 //! `BTreeMap` models over arbitrary operation sequences.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
@@ -33,8 +33,117 @@ fn db_op() -> impl Strategy<Value = DbOp> {
     ]
 }
 
+/// One step of a write transaction on the point-update path.
+#[derive(Debug, Clone)]
+enum Step {
+    Put(u64, u64),
+    Del(u64),
+    /// `k` and `k ^ 1`: one of the two is always the other's ancestor, so
+    /// the second insert revisits nodes the first one just created.
+    PutPair(u64, u64),
+    /// A run of consecutive keys removed one by one: empties one side of
+    /// the tree until it must rotate.
+    DelRun(u64, u64),
+}
+
+impl Step {
+    /// The same step as plain point operations.
+    fn unfold(&self) -> Vec<(u64, Option<u64>)> {
+        match *self {
+            Step::Put(k, v) => vec![(k, Some(v))],
+            Step::Del(k) => vec![(k, None)],
+            Step::PutPair(k, v) => vec![(k, Some(v)), (k ^ 1, Some(v))],
+            Step::DelRun(k, n) => (k..k + n).map(|k| (k, None)).collect(),
+        }
+    }
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let key = 0u64..192;
+    let val = 0u64..1000;
+    prop_oneof![
+        (key.clone(), val.clone()).prop_map(|(k, v)| Step::Put(k, v)),
+        key.clone().prop_map(Step::Del),
+        (key.clone(), val).prop_map(|(k, v)| Step::PutPair(k, v)),
+        (key, 1u64..12).prop_map(|(k, n)| Step::DelRun(k, n)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Single- and multi-op write transactions on the point-update path
+    /// (borrowed descent through shared nodes, in-place update of the
+    /// nodes a transaction created itself) while up to K older versions
+    /// stay retained: no retained version ever changes, every version is
+    /// a well-formed tree, and once everything is released the arena is
+    /// empty.
+    #[test]
+    fn point_updates_never_disturb_retained_snapshots(
+        txns in prop::collection::vec(
+            (prop::collection::vec(step(), 1..6), prop::bool::ANY),
+            1..40,
+        ),
+    ) {
+        const K: usize = 4;
+        let db: Database<SumU64Map> = Database::new(1);
+        let f = db.forest();
+        let mut s = db.session().unwrap();
+        let mut model: BTreeMap<u64, u64> = (0..96u64).map(|k| (2 * k, k)).collect();
+        let preload: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+        s.write(|txn| txn.multi_insert(preload.clone(), |_o, n| *n));
+        let mut retained = VecDeque::new();
+
+        for (steps, keep) in &txns {
+            let ops: Vec<(u64, Option<u64>)> = steps.iter().flat_map(Step::unfold).collect();
+            let mut removed = Vec::new();
+            let root = s.write(|txn| {
+                removed.clear();
+                for &(k, v) in &ops {
+                    match v {
+                        Some(v) => txn.insert(k, v),
+                        None => removed.push(txn.remove(&k)),
+                    }
+                }
+                txn.root()
+            });
+            let mut expect_removed = Vec::new();
+            for &(k, v) in &ops {
+                match v {
+                    Some(v) => drop(model.insert(k, v)),
+                    None => expect_removed.push(model.remove(&k)),
+                }
+            }
+            prop_assert_eq!(&removed, &expect_removed);
+
+            prop_assert_eq!(f.check_invariants(root), model.len());
+            prop_assert_eq!(f.to_vec(root), model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+            for (old_root, old_model) in &retained {
+                f.check_invariants(*old_root);
+                prop_assert_eq!(&f.to_vec(*old_root), old_model, "a retained snapshot changed");
+            }
+
+            if *keep {
+                if retained.len() == K {
+                    let (oldest, _) = retained.pop_front().unwrap();
+                    f.release(oldest);
+                }
+                f.retain(root);
+                retained.push_back((root, f.to_vec(root)));
+            }
+        }
+
+        for (root, _) in retained {
+            f.release(root);
+        }
+        prop_assert_eq!(db.live_versions(), 1);
+        prop_assert_eq!(f.arena().live(), model.len() as u64);
+        s.write_raw(|f, base| {
+            f.release(base);
+            (f.empty(), ())
+        });
+        prop_assert_eq!(f.arena().live(), 0);
+    }
 
     /// The transactional database behaves exactly like a sequential
     /// BTreeMap for any op sequence, under every VM algorithm, and ends
