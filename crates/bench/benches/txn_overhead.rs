@@ -1,9 +1,6 @@
-//! Criterion validation of delay-freedom (Theorem 5.4) and of the
-//! session redesign: a lookup inside a read transaction costs (almost)
-//! the same as a raw tree lookup, the overhead does not grow with the
-//! configured process count, and the `Session` path — reusable release
-//! buffer, local counters, pinned shard — is no slower than the legacy
-//! raw-pid path it replaces.
+//! Criterion validation of delay-freedom (Theorem 5.4): a lookup inside
+//! a read transaction costs (almost) the same as a raw tree lookup, and
+//! the overhead does not grow with the configured process count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvcc_core::Database;
@@ -30,15 +27,6 @@ fn bench_raw_vs_txn(c: &mut Criterion) {
         let db: Database<U64Map> = Database::new(p);
         let mut session = db.session().unwrap();
         session.write(|txn| txn.multi_insert(items.clone(), |_o, v| *v));
-        // Legacy raw-pid path (the deprecated shims; thread-local buffer).
-        #[allow(deprecated)]
-        g.bench_with_input(BenchmarkId::new("txn_get_pid_P", p), &p, |b, _| {
-            b.iter(|| {
-                k = (k * 2654435761) % N;
-                std::hint::black_box(db.read(0, |s| s.get(&k).copied()))
-            })
-        });
-        // Session path (owned buffer, local counters, pinned shard).
         g.bench_with_input(BenchmarkId::new("txn_get_session_P", p), &p, |b, _| {
             b.iter(|| {
                 k = (k * 2654435761) % N;
@@ -67,22 +55,9 @@ fn bench_raw_vs_txn(c: &mut Criterion) {
 }
 
 fn bench_write_paths(c: &mut Criterion) {
-    // Single-writer insert/overwrite commits: legacy pid path (global
-    // atomics + fresh Vec history was the seed; now thread-local buffer)
-    // vs session path (owned buffer + local counters). The acceptance
-    // bar for the redesign is session <= pid.
+    // Single-writer insert/overwrite commits: the one-call shorthand vs
+    // the same insert through a `WriteTxn` closure.
     let mut g = c.benchmark_group("write_overhead");
-    {
-        let db: Database<U64Map> = Database::new(8);
-        let mut k = 0u64;
-        #[allow(deprecated)]
-        g.bench_function("insert_pid", |b| {
-            b.iter(|| {
-                k = (k + 1) % 1024;
-                db.insert(0, k, k);
-            })
-        });
-    }
     {
         let db: Database<U64Map> = Database::new(8);
         let mut session = db.session().unwrap();

@@ -330,13 +330,6 @@ impl DurableStats {
             self.batches_flushed as f64 / self.groups_flushed as f64
         }
     }
-
-    /// Mean wall-clock time per group flush.
-    pub fn mean_flush(&self) -> Duration {
-        self.flush_ns_total
-            .checked_div(self.groups_flushed)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
 }
 
 /// When the durability maintenance supervisor checkpoints, how hard it
@@ -404,12 +397,6 @@ impl MaintenancePolicy {
     /// This policy with a different backoff cap.
     pub fn with_max_backoff(mut self, cap: Duration) -> Self {
         self.max_backoff = cap;
-        self
-    }
-
-    /// This policy with a different checkpoint retention depth.
-    pub fn with_min_keep_checkpoints(mut self, keep: usize) -> Self {
-        self.min_keep_checkpoints = keep;
         self
     }
 
@@ -1343,11 +1330,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> DurableSession<'db, P, M> {
     /// The leased process id.
     pub fn pid(&self) -> usize {
         self.inner.pid()
-    }
-
-    /// The durable database this session writes to.
-    pub fn durable_database(&self) -> &'db DurableDatabase<P, M> {
-        self.dd
     }
 
     /// This session's transaction counters (see [`Session::stats`]).

@@ -146,15 +146,6 @@
 //! (and is truncated away), a coalesced group replays all-or-nothing,
 //! and recovering the same store twice is idempotent.
 //!
-//! The pre-session entry points (`Database::read(pid, ..)` etc.) survive
-//! as thin deprecated shims; they still work — now allocation-free via a
-//! thread-local release buffer — but bypass the lease registry, so they
-//! cannot protect callers from pid aliasing the way sessions do. They
-//! also bypass the durable layer entirely: a raw write through the
-//! [`Database`] inside a [`DurableDatabase`] is never logged, and a
-//! durable commit that loses its `set` to one surfaces
-//! [`DurableError::RacedByRawWriter`].
-//!
 //! The workspace-level `ARCHITECTURE.md` maps this crate's place in the
 //! full stack (arena → version maintenance → trees → transactions →
 //! WAL/network) and the invariants each boundary keeps.
@@ -164,11 +155,10 @@ pub mod durable;
 pub mod pool;
 mod session;
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mvcc_ftree::{AllocCtx, Forest, OptNodeId, Root, TreeParams};
+use mvcc_ftree::{Forest, OptNodeId, Root, TreeParams};
 use mvcc_vm::{PidPool, PswfVm, VersionMaintenance, VmKind};
 
 pub use batch::{BatchWriter, MapOp, SubmitError};
@@ -200,27 +190,6 @@ fn decode(token: u64) -> Root {
     OptNodeId::from_raw(token as u32)
 }
 
-thread_local! {
-    /// Reusable release/collect buffer for the deprecated pid-based entry
-    /// points (sessions carry their own). Taken (not borrowed) around
-    /// each transaction so nested legacy transactions on one thread each
-    /// get a buffer instead of a `RefCell` panic.
-    static RELEASE_BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn with_release_buf<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
-    let mut buf = RELEASE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-    let result = f(&mut buf);
-    RELEASE_BUF.with(|b| {
-        let mut slot = b.borrow_mut();
-        if slot.capacity() < buf.capacity() {
-            buf.clear();
-            *slot = buf;
-        }
-    });
-    result
-}
-
 /// Cumulative transaction statistics (monotone counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
@@ -237,7 +206,15 @@ pub struct TxnStats {
 ///
 /// `P` fixes key/value/augmentation types; `M` picks the VM algorithm
 /// (default: the paper's PSWF). The `processes` process ids are handed
-/// out as exclusive [`Session`] leases.
+/// out as exclusive [`Session`] leases, and a lease is the only way to
+/// run a transaction — no method takes a raw pid and runs one:
+///
+/// ```compile_fail,E0599
+/// use mvcc_core::{ftree::U64Map, Database};
+/// let db: Database<U64Map> = Database::new(1);
+/// // Lease first: db.session()?.read(..)
+/// db.read(0, |s| s.len());
+/// ```
 pub struct Database<P: TreeParams, M: VersionMaintenance = PswfVm> {
     forest: Forest<P>,
     vmo: M,
@@ -373,14 +350,6 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
         self.vmo.uncollected_versions()
     }
 
-    /// The arena allocation context for process `pid` — one shard per
-    /// process id, stable across threads. Sessions pin this
-    /// automatically; it remains public for diagnostics and for batch
-    /// construction outside transactions.
-    pub fn alloc_ctx(&self, pid: usize) -> AllocCtx {
-        self.forest.ctx_for(pid)
-    }
-
     /// Release tokens returned by the VM and precisely collect their trees.
     fn collect_released(&self, released: &mut Vec<u64>) {
         for tok in released.drain(..) {
@@ -397,7 +366,7 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
 
     /// One write attempt (Figure 1, right): acquire, run user code on an
     /// owned snapshot root, `set`, then release/collect. No counters —
-    /// callers account locally (sessions) or globally (legacy shims).
+    /// sessions account locally.
     pub(crate) fn try_write_core<R>(
         &self,
         pid: usize,
@@ -422,166 +391,10 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
             None
         }
     }
-
-    // ------------------------------------------------------------------
-    // Deprecated pid-based entry points
-    // ------------------------------------------------------------------
-    //
-    // Thin shims over the same transaction core the sessions use. They
-    // do not consult the lease registry: the caller is again responsible
-    // for the "one thread per pid" contract, and a pid used here may
-    // collide with a leased session. Writes through these shims also
-    // never reach a wrapping `DurableDatabase`'s WAL — see
-    // `DurableError::RacedByRawWriter`.
-
-    /// Run a read-only transaction on a raw process id.
-    ///
-    /// Unlike [`Database::session`], no lease protects `pid`: the caller
-    /// must guarantee no other thread (including a leased [`Session`])
-    /// is using it concurrently.
-    #[deprecated(since = "0.1.0", note = "lease a `Session` and use `Session::read`")]
-    pub fn read<R>(&self, pid: usize, f: impl FnOnce(&Snapshot<'_, P>) -> R) -> R {
-        let result = with_release_buf(|buf| {
-            let root = decode(self.vmo.acquire(pid));
-            let result = f(&Snapshot {
-                forest: &self.forest,
-                root,
-            });
-            self.finish_txn(pid, buf);
-            result
-        });
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        result
-    }
-
-    /// Begin a read transaction on a raw process id as an RAII guard.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `Session` and use `Session::begin_read`"
-    )]
-    pub fn begin_read(&self, pid: usize) -> ReadGuard<'_, P, M> {
-        let root = decode(self.vmo.acquire(pid));
-        ReadGuard {
-            db: self,
-            pid,
-            root,
-        }
-    }
-
-    /// Run a write transaction on a raw process id, retrying on abort.
-    ///
-    /// The same unleased-pid caveat as [`Database::read`] applies, and
-    /// writes through this shim bypass any wrapping
-    /// [`DurableDatabase`]'s WAL entirely — they are never logged, and a
-    /// durable commit racing one surfaces
-    /// [`DurableError::RacedByRawWriter`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `Session` and use `Session::write` / `Session::write_raw`"
-    )]
-    pub fn write<R>(&self, pid: usize, mut f: impl FnMut(&Forest<P>, Root) -> (Root, R)) -> R {
-        loop {
-            if let Some(r) = self.legacy_attempt(pid, &mut f) {
-                return r;
-            }
-        }
-    }
-
-    /// [`Database::write`] with allocation pinned to an explicit arena
-    /// shard.
-    #[deprecated(
-        since = "0.1.0",
-        note = "sessions pin their own `AllocCtx`; use `Session::write_raw`"
-    )]
-    #[allow(deprecated)]
-    pub fn write_in<R>(
-        &self,
-        pid: usize,
-        ctx: AllocCtx,
-        f: impl FnMut(&Forest<P>, Root) -> (Root, R),
-    ) -> R {
-        self.forest.with_ctx(ctx, || self.write(pid, f))
-    }
-
-    /// Run a write transaction on a raw process id without retrying.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `Session` and use `Session::try_write` / `Session::try_write_raw`"
-    )]
-    pub fn try_write<R>(
-        &self,
-        pid: usize,
-        mut f: impl FnMut(&Forest<P>, Root) -> (Root, R),
-    ) -> Result<R, Aborted> {
-        self.legacy_attempt(pid, &mut f).ok_or(Aborted)
-    }
-
-    fn legacy_attempt<R>(
-        &self,
-        pid: usize,
-        f: &mut impl FnMut(&Forest<P>, Root) -> (Root, R),
-    ) -> Option<R> {
-        let result = with_release_buf(|buf| self.try_write_core(pid, buf, f));
-        match result {
-            Some(_) => self.commits.fetch_add(1, Ordering::Relaxed),
-            None => self.aborts.fetch_add(1, Ordering::Relaxed),
-        };
-        result
-    }
-
-    /// Transactionally insert one entry on a raw process id.
-    #[deprecated(since = "0.1.0", note = "lease a `Session` and use `Session::insert`")]
-    #[allow(deprecated)]
-    pub fn insert(&self, pid: usize, key: P::K, value: P::V) {
-        self.write(pid, move |f, base| {
-            (f.insert(base, key.clone(), value.clone()), ())
-        })
-    }
-
-    /// Transactionally remove one key on a raw process id.
-    #[deprecated(since = "0.1.0", note = "lease a `Session` and use `Session::remove`")]
-    #[allow(deprecated)]
-    pub fn remove(&self, pid: usize, key: &P::K) -> Option<P::V> {
-        self.write(pid, |f, base| f.remove(base, key))
-    }
-
-    /// Transactionally remove every key in `[lo, hi]` on a raw process id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `Session` and use `Session::remove_range`"
-    )]
-    #[allow(deprecated)]
-    pub fn remove_range(&self, pid: usize, lo: &P::K, hi: &P::K) {
-        self.write(pid, |f, base| (f.remove_range(base, lo, hi), ()))
-    }
-
-    /// Point lookup as a read transaction on a raw process id.
-    #[deprecated(since = "0.1.0", note = "lease a `Session` and use `Session::get`")]
-    #[allow(deprecated)]
-    pub fn get(&self, pid: usize, key: &P::K) -> Option<P::V> {
-        self.read(pid, |s| s.get(key).cloned())
-    }
-
-    /// Entry count of the current version via a raw process id.
-    #[deprecated(since = "0.1.0", note = "lease a `Session` and use `Session::len`")]
-    #[allow(deprecated)]
-    pub fn len(&self, pid: usize) -> usize {
-        self.read(pid, |s| s.len())
-    }
-
-    /// Is the current version empty?
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `Session` and use `Session::is_empty`"
-    )]
-    #[allow(deprecated)]
-    pub fn is_empty(&self, pid: usize) -> bool {
-        self.len(pid) == 0
-    }
 }
 
-/// Error returned by [`Session::try_write`] (and the deprecated
-/// [`Database::try_write`]) when a concurrent writer committed first.
+/// Error returned by [`Session::try_write`] when a concurrent writer
+/// committed first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aborted;
 
@@ -678,32 +491,6 @@ impl<'a, P: TreeParams> Snapshot<'a, P> {
     /// In-order traversal restricted to the inclusive key range.
     pub fn range_for_each(&self, lo: &P::K, hi: &P::K, mut f: impl FnMut(&P::K, &P::V)) {
         self.forest.range_for_each(self.root, lo, hi, &mut f);
-    }
-}
-
-/// RAII read transaction on a raw process id (the deprecated
-/// [`Database::begin_read`]); prefer [`Session::begin_read`], whose guard
-/// also keeps the session's other transactions out for the duration.
-pub struct ReadGuard<'a, P: TreeParams, M: VersionMaintenance> {
-    db: &'a Database<P, M>,
-    pid: usize,
-    root: Root,
-}
-
-impl<'a, P: TreeParams, M: VersionMaintenance> ReadGuard<'a, P, M> {
-    /// The snapshot this guard pins.
-    pub fn snapshot(&self) -> Snapshot<'_, P> {
-        Snapshot {
-            forest: &self.db.forest,
-            root: self.root,
-        }
-    }
-}
-
-impl<P: TreeParams, M: VersionMaintenance> Drop for ReadGuard<'_, P, M> {
-    fn drop(&mut self) {
-        with_release_buf(|buf| self.db.finish_txn(self.pid, buf));
-        self.db.reads.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -901,44 +688,6 @@ mod tests {
             w.insert(1, 20);
             assert_eq!(r.get(&1), Some(20), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn legacy_pid_entry_points_still_work() {
-        // The deprecated shims share the transaction core (and the
-        // thread-local release buffer) with the session path.
-        #![allow(deprecated)]
-        let db: Database<U64Map> = Database::new(2);
-        db.insert(0, 5, 50);
-        assert_eq!(db.get(1, &5), Some(50));
-        db.write(0, |f, base| (f.insert(base, 6, 60), ()));
-        let nested = db.read(1, |s| {
-            // Nested legacy transaction on the same thread must not
-            // collide on the shared buffer.
-            db.insert(0, 7, 70);
-            s.len()
-        });
-        assert_eq!(nested, 2, "snapshot predates the nested insert");
-        assert_eq!(db.remove(0, &5), Some(50));
-        let g = db.begin_read(1);
-        assert_eq!(g.snapshot().len(), 2);
-        drop(g);
-        assert_eq!(db.len(0), 2);
-        assert_eq!(db.stats().commits, 4);
-        assert_eq!(db.live_versions(), 1);
-    }
-
-    #[test]
-    fn legacy_shims_bypass_the_registry() {
-        // The deprecated raw-pid entry points do not consult the lease
-        // registry — using a pid a session holds is the documented
-        // hazard the shims carry, not a panic.
-        #![allow(deprecated)]
-        let db: Database<U64Map> = Database::new(2);
-        let _held = db.session_for(0).unwrap();
-        db.insert(0, 1, 1);
-        assert_eq!(db.get(1, &1), Some(1));
-        assert_eq!(db.sessions_leased(), 1, "shims do not lease");
     }
 
     #[test]

@@ -538,15 +538,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
         self.install_lease(self.acquire(), lease)
     }
 
-    /// [`SessionPool::acquire_leased`] with a bounded admission wait.
-    pub fn acquire_leased_timeout(
-        &self,
-        timeout: Duration,
-        lease: Duration,
-    ) -> Result<LeaseGuard<'db, P, M>, AcquireTimeout> {
-        Ok(self.install_lease(self.acquire_timeout(timeout)?, lease))
-    }
-
     fn install_lease(&self, session: Session<'db, P, M>, lease: Duration) -> LeaseGuard<'db, P, M> {
         let db = self.db;
         let pid = session.pid();
@@ -1137,25 +1128,6 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
         self.database_for(key).pool().acquire()
     }
 
-    /// [`Router::session`] with a bounded wait.
-    pub fn session_timeout<K: Hash + ?Sized>(
-        &self,
-        key: &K,
-        timeout: Duration,
-    ) -> Result<Session<'_, P, M>, AcquireTimeout> {
-        self.database_for(key).pool().acquire_timeout(timeout)
-    }
-
-    /// Non-blocking lease on `key`'s shard (`Err(Exhausted)` when that
-    /// shard's pids are all out, even if other shards have capacity —
-    /// keys do not spill across shards).
-    pub fn try_session<K: Hash + ?Sized>(
-        &self,
-        key: &K,
-    ) -> Result<Session<'_, P, M>, SessionError> {
-        self.database_for(key).session()
-    }
-
     /// Iterate the shards in index order — the cross-shard sweep for
     /// stats aggregation, GC/quiescence checks and maintenance.
     pub fn iter(&self) -> std::slice::Iter<'_, Database<P, M>> {
@@ -1184,19 +1156,6 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
     /// Currently leased sessions summed across shards (racy snapshot).
     pub fn sessions_leased(&self) -> usize {
         self.iter().map(|db| db.sessions_leased()).sum()
-    }
-
-    /// Admission gauges summed across shards ([`SessionPool::stats`]
-    /// per shard via [`Router::with_shard`] for the breakdown).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.iter().fold(PoolStats::default(), |acc, db| {
-            let s = db.pool().stats();
-            PoolStats {
-                capacity: acc.capacity + s.capacity,
-                leased: acc.leased + s.leased,
-                waiters: acc.waiters + s.waiters,
-            }
-        })
     }
 
     /// Run [`SessionPool::reap_expired`] on every shard; returns the

@@ -16,12 +16,11 @@
 //!
 //! * a pinned [`AllocCtx`] (one arena shard per pid), so user code's path
 //!   copies, commit bookkeeping and precise collection all route through
-//!   one freelist without threading `write_in`/`alloc_ctx` by hand — the
-//!   pin covers the session's own thread; bulk operations that fork onto
-//!   the work-stealing pool (`union`, `multi_insert`, `filter`, …) re-pin
-//!   each stolen subtask to its executing thread's shard, so big batches
-//!   parallelize across the sharded arena instead of funnelling through
-//!   the session's freelist;
+//!   one freelist — the pin covers the session's own thread; bulk
+//!   operations that fork onto the work-stealing pool (`union`,
+//!   `multi_insert`, `filter`, …) re-pin each stolen subtask to its
+//!   executing thread's shard, so big batches parallelize across the
+//!   sharded arena instead of funnelling through the session's freelist;
 //! * a reusable release buffer, so the `release -> collect` cleanup phase
 //!   performs no per-transaction allocation;
 //! * local transaction counters, flushed into the database's global

@@ -11,35 +11,14 @@
 //! "versions are reference-counted roots", not on the ordered-map
 //! structure the experiments happen to use.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mvcc_plm::{Arena, OptNodeId, Tuple};
 use mvcc_vm::{LeaseError, PidPool, PswfVm, VersionMaintenance, VmKind};
 
-thread_local! {
-    /// Reusable release/collect buffer for the deprecated pid-based entry
-    /// points (sessions carry their own). Taken (not borrowed) around
-    /// each transaction so nested legacy transactions on one thread each
-    /// get a buffer instead of a `RefCell` panic.
-    static RELEASE_BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn with_release_buf<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
-    let mut buf = RELEASE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-    let result = f(&mut buf);
-    RELEASE_BUF.with(|b| {
-        let mut slot = b.borrow_mut();
-        if slot.capacity() < buf.capacity() {
-            buf.clear();
-            *slot = buf;
-        }
-    });
-    result
-}
-
-/// Error returned by [`VersionedCell::try_write`]: a concurrent writer
+/// Error returned by [`CellSession::try_write`]: a concurrent writer
 /// committed first; the speculative version has been collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Aborted;
@@ -95,7 +74,15 @@ fn decode(token: u64) -> OptNodeId {
 ///
 /// `M` picks the VM algorithm (default: the paper's PSWF). Each process
 /// id may be used by at most one thread at a time, per the VM problem's
-/// contract.
+/// contract; a leased [`CellSession`] is the only way to run a
+/// transaction, so the contract cannot be broken by passing a pid:
+///
+/// ```compile_fail,E0599
+/// use mvcc_fds::{Stack, VersionedCell};
+/// let cell = VersionedCell::new(Stack::<u64>::new(), 1);
+/// // Lease first: cell.session()?.read(..)
+/// cell.read(0, |stack, root| stack.peek(root).copied());
+/// ```
 pub struct VersionedCell<S: VersionRoots, M: VersionMaintenance = PswfVm> {
     structure: S,
     vmo: M,
@@ -227,45 +214,6 @@ impl<S: VersionRoots, M: VersionMaintenance> VersionedCell<S, M> {
             self.aborts.fetch_add(1, Ordering::Relaxed);
             None
         }
-    }
-
-    /// Run a **read-only transaction** on a raw process id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `CellSession` and use `CellSession::read`"
-    )]
-    pub fn read<R>(&self, pid: usize, f: impl FnOnce(&S, OptNodeId) -> R) -> R {
-        with_release_buf(|buf| self.read_core(pid, buf, f))
-    }
-
-    /// Run a **write transaction** on a raw process id, retrying on
-    /// abort.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `CellSession` and use `CellSession::write`"
-    )]
-    pub fn write<R>(&self, pid: usize, mut f: impl FnMut(&S, OptNodeId) -> (OptNodeId, R)) -> R {
-        loop {
-            let attempt = with_release_buf(|buf| self.try_write_core(pid, buf, &mut f));
-            if let Some(r) = attempt {
-                return r;
-            }
-        }
-    }
-
-    /// One write attempt on a raw process id; `Err(Aborted)` means a
-    /// concurrent writer committed first and the speculative version has
-    /// been collected.
-    #[deprecated(
-        since = "0.1.0",
-        note = "lease a `CellSession` and use `CellSession::try_write`"
-    )]
-    pub fn try_write<R>(
-        &self,
-        pid: usize,
-        mut f: impl FnMut(&S, OptNodeId) -> (OptNodeId, R),
-    ) -> Result<R, Aborted> {
-        with_release_buf(|buf| self.try_write_core(pid, buf, &mut f)).ok_or(Aborted)
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::forest::Forest;
 use crate::node::Root;
 use crate::params::{par_cutoff, TreeParams};
-use mvcc_plm::{AllocCtx, OptNodeId};
+use mvcc_plm::OptNodeId;
 
 impl<P: TreeParams> Forest<P> {
     /// Fork the two halves onto the work-stealing pool when `par` and
@@ -28,7 +28,7 @@ impl<P: TreeParams> Forest<P> {
     /// pinned shard would re-serialize the allocator the sharding was
     /// built to parallelize. With a sequential pool
     /// (`MVCC_POOL_THREADS=1`) the fork — and with it the re-pin — is
-    /// skipped entirely, so session/`_in` pins cover whole bulk ops
+    /// skipped entirely, so session/`with_ctx` pins cover whole bulk ops
     /// exactly as they did under the sequential shim.
     #[inline]
     fn maybe_join<A: Send, B: Send>(
@@ -232,46 +232,6 @@ impl<P: TreeParams> Forest<P> {
             "multi_remove_sorted requires strictly increasing keys"
         );
         self.remove_sorted(t, keys)
-    }
-
-    // ------------------------------------------------------------------
-    // Explicit-context variants
-    // ------------------------------------------------------------------
-    //
-    // The bulk operations are exactly where a batching writer allocates
-    // in anger; these variants pin the *calling* thread to one arena
-    // shard. The pin governs the sequential regime: the top of the
-    // recursion and every subtree below the fork cutoff on this thread.
-    // Once recursion forks onto the work-stealing pool, each parallel
-    // subtask re-pins to its executing thread's own shard
-    // (`with_task_ctx` in `maybe_join`) — one shard per allocating
-    // thread, so a wide parallel op spreads over the sharded allocator
-    // instead of serializing on the caller's freelist.
-
-    /// [`Forest::union`] through an explicit allocation context.
-    pub fn union_in(&self, ctx: AllocCtx, a: Root, b: Root) -> Root {
-        self.with_ctx(ctx, || self.union(a, b))
-    }
-
-    /// [`Forest::build_sorted`] through an explicit allocation context.
-    pub fn build_sorted_in(&self, ctx: AllocCtx, items: &[(P::K, P::V)]) -> Root {
-        self.with_ctx(ctx, || self.build_sorted(items))
-    }
-
-    /// [`Forest::multi_insert`] through an explicit allocation context.
-    pub fn multi_insert_in(
-        &self,
-        ctx: AllocCtx,
-        t: Root,
-        batch: Vec<(P::K, P::V)>,
-        combine: impl Fn(&P::V, &P::V) -> P::V + Sync,
-    ) -> Root {
-        self.with_ctx(ctx, || self.multi_insert(t, batch, combine))
-    }
-
-    /// [`Forest::multi_remove`] through an explicit allocation context.
-    pub fn multi_remove_in(&self, ctx: AllocCtx, t: Root, keys: Vec<P::K>) -> Root {
-        self.with_ctx(ctx, || self.multi_remove(t, keys))
     }
 
     fn remove_sorted(&self, t: Root, keys: &[P::K]) -> Root {

@@ -83,22 +83,6 @@ impl<P: TreeParams> Forest<P> {
         self.arena.with_ctx(self.arena.task_ctx(), f)
     }
 
-    /// [`Forest::insert`] through an explicit allocation context.
-    pub fn insert_in(&self, ctx: AllocCtx, t: Root, key: P::K, value: P::V) -> Root {
-        self.with_ctx(ctx, || self.insert(t, key, value))
-    }
-
-    /// [`Forest::remove`] through an explicit allocation context.
-    pub fn remove_in(&self, ctx: AllocCtx, t: Root, key: &P::K) -> (Root, Option<P::V>) {
-        self.with_ctx(ctx, || self.remove(t, key))
-    }
-
-    /// [`Forest::release`] through an explicit allocation context: the
-    /// freed tuples land on `ctx`'s shard freelist.
-    pub fn release_in(&self, ctx: AllocCtx, root: Root) -> usize {
-        self.with_ctx(ctx, || self.release(root))
-    }
-
     /// The empty map.
     #[inline]
     pub fn empty(&self) -> Root {
@@ -766,24 +750,25 @@ mod tests {
     }
 
     #[test]
-    fn ctx_variants_match_default_paths() {
+    fn with_ctx_matches_default_paths() {
         let f: Forest<U64Map> = Forest::new();
-        let ctx = f.ctx_for(1);
-        let mut t = f.empty();
-        for k in [5u64, 3, 8, 1, 9] {
-            t = f.insert_in(ctx, t, k, k * 10);
-        }
-        f.check_invariants(t);
-        assert_eq!(f.get(t, &8), Some(&80));
-        let (t2, removed) = f.remove_in(ctx, t, &8);
-        assert_eq!(removed, Some(80));
-        f.check_invariants(t2);
-        let batch: Vec<(u64, u64)> = (100..150u64).map(|k| (k, k)).collect();
-        let t3 = f.multi_insert_in(ctx, t2, batch, |_o, n| *n);
-        assert_eq!(f.size(t3), 54);
-        let t4 = f.multi_remove_in(ctx, t3, (100..150u64).collect());
-        assert_eq!(f.size(t4), 4);
-        f.release_in(ctx, t4);
+        f.with_ctx(f.ctx_for(1), || {
+            let mut t = f.empty();
+            for k in [5u64, 3, 8, 1, 9] {
+                t = f.insert(t, k, k * 10);
+            }
+            f.check_invariants(t);
+            assert_eq!(f.get(t, &8), Some(&80));
+            let (t2, removed) = f.remove(t, &8);
+            assert_eq!(removed, Some(80));
+            f.check_invariants(t2);
+            let batch: Vec<(u64, u64)> = (100..150u64).map(|k| (k, k)).collect();
+            let t3 = f.multi_insert(t2, batch, |_o, n| *n);
+            assert_eq!(f.size(t3), 54);
+            let t4 = f.multi_remove(t3, (100..150u64).collect());
+            assert_eq!(f.size(t4), 4);
+            f.release(t4);
+        });
         assert_eq!(f.arena().live(), 0);
     }
 

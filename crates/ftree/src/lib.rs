@@ -71,7 +71,7 @@
 //! Allocation stays sharded under parallelism: each stolen subtask
 //! allocates and collects through its *executing* thread's arena shard
 //! ([`Arena::task_ctx`]), while an explicit [`AllocCtx`] pin (e.g. a
-//! session's, or the `*_in` bulk variants') keeps governing the
+//! session's, or [`Forest::with_ctx`]) keeps governing the
 //! sequential regime on the calling thread. Results are identical to
 //! sequential execution — the recursion tree and reassembly order do not
 //! depend on the schedule; only the placement of freed/allocated slots

@@ -636,17 +636,6 @@ impl<T: Tuple> Arena<T> {
         unsafe { (*slot.value.get()).assume_init_ref() }
     }
 
-    /// Read a tuple without the occupancy check.
-    ///
-    /// # Safety
-    /// The caller must guarantee the slot is occupied, i.e. it holds (or a
-    /// live version transitively holds) an owned reference to `id`.
-    #[inline]
-    pub unsafe fn get_unchecked(&self, id: NodeId) -> &T {
-        let slot = self.slot(id);
-        unsafe { (*slot.value.get()).assume_init_ref() }
-    }
-
     /// Mutably access a tuple in place.
     ///
     /// # Safety

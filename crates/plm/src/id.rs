@@ -18,14 +18,6 @@ impl NodeId {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Rebuild a `NodeId` from a raw index previously obtained with
-    /// [`NodeId::index`]. The caller must ensure the id is still live.
-    #[inline]
-    pub fn from_index(raw: u32) -> Self {
-        debug_assert_ne!(raw, u32::MAX, "u32::MAX is the nil sentinel");
-        NodeId(raw)
-    }
 }
 
 impl fmt::Debug for NodeId {

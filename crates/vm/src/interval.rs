@@ -74,10 +74,10 @@ pub struct IntervalVm {
     era: CachePadded<AtomicU64>,
     /// Current version's data token.
     v: CachePadded<AtomicU64>,
-    /// Birth era of the current version. Written by the successful setter
-    /// right after its CAS on `v`; a racing reader may observe the
-    /// *previous* version's (smaller) birth, which only widens the retired
-    /// interval — conservative, never unsafe.
+    /// Birth era of the current version: the era its setter read just
+    /// before its CAS on `v`, written right after the CAS. A racing
+    /// setter may observe an *earlier* version's (smaller) birth, which
+    /// only widens the retired interval — conservative, never unsafe.
     v_birth: CachePadded<AtomicU64>,
     /// Per-process reserved era (`IDLE` when quiescent). A single era
     /// suffices because each transaction acquires exactly one version, so
@@ -150,13 +150,21 @@ impl VersionMaintenance for IntervalVm {
         // succeeds in between, our CAS fails; a torn read can only be an
         // older (smaller) birth, widening the interval — safe.
         let old_birth = self.v_birth.load(BIRTH_HINT);
+        // The new version's birth era is read *before* the CAS publishes
+        // it. A reader can acquire `data` in the window between the CAS
+        // and the era bump below, with a reservation equal to the era it
+        // validated — which is at least this value (the CAS orders this
+        // load before the reader's validation load) but less than the
+        // post-bump era. Stamping the birth with the post-bump era would
+        // leave that reader outside `[birth, retire]`.
+        let birth = self.era.load(CLOCK_LOAD);
         if self
             .v
             .compare_exchange(old, data, VERSION_CAS, CAS_FAILURE)
             .is_ok()
         {
             let retire = self.era.fetch_add(1, CLOCK_BUMP) + 1;
-            self.v_birth.store(retire, BIRTH_HINT);
+            self.v_birth.store(birth, BIRTH_HINT);
             self.counter.created();
             unsafe {
                 self.proc.with(k, |p| {

@@ -96,11 +96,6 @@ impl YcsbGenerator {
             Op::Update(key, self.counter)
         }
     }
-
-    /// The keys `0..keyspace` used to preload the structure.
-    pub fn initial_keys(&self) -> impl Iterator<Item = u64> {
-        0..self.cfg.keyspace
-    }
 }
 
 #[cfg(test)]

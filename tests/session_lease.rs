@@ -157,9 +157,9 @@ fn session_churn_stress_ends_with_one_live_version() {
     assert_eq!(all.len(), PIDS);
 }
 
-// (The companion check that the deprecated raw-pid shims bypass the
-// registry lives in mvcc-core's own unit tests — no raw-pid transaction
-// calls belong outside that crate anymore.)
+// (That a lease is the only way to run a transaction — no method takes a
+// raw pid — is pinned by the `compile_fail` doctests on
+// `mvcc_core::Database` and `mvcc_fds::VersionedCell`.)
 
 /// A session leased, moved to another thread, used there and dropped
 /// there still returns its pid (Send semantics + cross-thread drop).
