@@ -4,15 +4,17 @@
 //! A [`DurableDatabase`] wraps the in-memory multiversion database with
 //! the `mvcc-wal` layers:
 //!
-//! * **Commit** — a durable write transaction runs the usual Figure 1
-//!   skeleton, but its key/value deltas are recorded and the batch is
+//! * **Commit** — a durable write transaction is the usual Figure 1
+//!   skeleton (the crate's one `try_write_core`) on the usual
+//!   [`WriteTxn`], with a delta log attached to the view and the batch
 //!   *published to the write-ahead log before the version becomes
-//!   visible*: the WAL publish happens between user code and the VM
-//!   `set`, inside a commit mutex that hands every batch the next
-//!   `commit_ts` in log order (so the `set` cannot lose a race to
-//!   another durable writer). What "publish" costs depends on the
-//!   [`GroupCommit`] policy: `Serial` appends *and fsyncs* the frame
-//!   inside the critical section, while `Leader`/`Flusher` only
+//!   visible*: the WAL publish is the skeleton's before-visible step,
+//!   between user code and the VM `set`, inside a commit mutex that
+//!   hands every batch the next `commit_ts` in log order (so the `set`
+//!   cannot lose a race to another durable writer). What "publish"
+//!   costs depends on the [`GroupCommit`] policy: `Serial` appends *and
+//!   fsyncs* the frame inside the critical section, while
+//!   `Leader`/`Flusher` only
 //!   *enqueue* the record on the WAL's commit-ordered group tail there
 //!   and wait for the coalesced group fsync **outside** the lock — one
 //!   fsync covers every commit that overlapped it. The invariant is
@@ -65,7 +67,7 @@ use mvcc_wal::{
 };
 
 use crate::batch::MapOp;
-use crate::{decode, encode, Database, Session, SessionError, SessionReadGuard, WriteTxn};
+use crate::{Database, Session, SessionError, SessionReadGuard, WriteTxn};
 
 /// When a committed batch becomes durable.
 ///
@@ -813,17 +815,13 @@ where
                     continue;
                 }
                 let ops = decode_ops::<P>(&b.ops)?;
-                session.write_raw(|f, base| {
-                    let mut root = base;
+                session.write(|txn| {
                     for op in &ops {
                         match op {
-                            MapOp::Insert(k, v) => {
-                                root = f.insert(root, k.clone(), v.clone());
-                            }
-                            MapOp::Remove(k) => root = f.remove(root, k).0,
+                            MapOp::Insert(k, v) => txn.insert(k.clone(), v.clone()),
+                            MapOp::Remove(k) => drop(txn.remove(k)),
                         }
                     }
-                    (root, ())
                 });
                 report.replayed += 1;
                 last_ts = b.commit_ts;
@@ -1371,7 +1369,7 @@ where
 {
     /// Run a **durable write transaction**.
     ///
-    /// User code sees a [`DurableTxn`] — the [`WriteTxn`] surface, with
+    /// User code sees the ordinary [`WriteTxn`] with a delta log attached:
     /// every delta recorded. On return the batch is in the WAL *before*
     /// the new version becomes visible, and `Ok` means the commit is as
     /// durable as the [`Durability`] policy guarantees: under
@@ -1394,9 +1392,20 @@ where
     /// `f` may run more than once only in the `Off` mode (retry on a
     /// lost race); with logging on, durable writers serialize and `f`
     /// runs exactly once.
+    ///
+    /// The view cannot swap in a root the log did not see being built —
+    /// recovery could not replay it:
+    ///
+    /// ```compile_fail,E0599
+    /// use mvcc_core::{ftree::U64Map, wal::FaultStorage, DurableConfig, DurableDatabase};
+    /// let storage = std::sync::Arc::new(FaultStorage::unfaulted());
+    /// let db: DurableDatabase<U64Map> =
+    ///     DurableDatabase::recover_storage(storage, 1, DurableConfig::default()).unwrap();
+    /// db.session().unwrap().write(|txn| txn.set_root(txn.root()));
+    /// ```
     pub fn write<R>(
         &mut self,
-        f: impl FnMut(&mut DurableTxn<'_, '_, P>) -> R,
+        f: impl FnMut(&mut WriteTxn<'_, P>) -> R,
     ) -> Result<R, DurableError> {
         let (result, ack) = self.write_acked(f)?;
         ack.wait()?;
@@ -1415,91 +1424,59 @@ where
     /// already satisfied and `wait` is free.
     pub fn write_acked<R>(
         &mut self,
-        mut f: impl FnMut(&mut DurableTxn<'_, '_, P>) -> R,
+        f: impl FnMut(&mut WriteTxn<'_, P>) -> R,
     ) -> Result<(R, CommitAck), DurableError> {
         let dd = self.dd;
         let Some(wal) = &dd.wal else {
             // Durability::Off: the unmodified in-memory commit path.
-            let result = self
-                .inner
-                .write(|txn| f(&mut DurableTxn { txn, log: None }));
-            return Ok((result, CommitAck::immediate(None)));
+            return Ok((self.inner.write(f), CommitAck::immediate(None)));
         };
         let grouped = !matches!(dd.group, GroupCommit::Serial);
-
-        let db = self.inner.database();
-        self.ops.clear();
 
         // Serialize durable writers: commit_ts assignment, WAL publish
         // and `set` form one critical section, so the log order is the
         // commit order and `set` cannot lose to another *durable* writer.
         // The group fsync is NOT in here — that is the whole point.
         let mut clock = dd.clock();
-        let _pin = db.forest().arena().pin(self.inner.alloc_ctx());
-        let pid = self.inner.pid();
-        let base = decode(db.vmo.acquire(pid));
-        db.forest().retain(base);
-        let mut txn = WriteTxn::new(db.forest(), base);
-        let result = f(&mut DurableTxn {
-            txn: &mut txn,
-            log: Some(&mut self.ops),
-        });
-        let new_root = txn.root();
-
-        // Publish to the log BEFORE the version becomes visible: the WAL
-        // record is the commit point. Serial appends (and fsyncs) here;
-        // grouped mode enqueues on the commit-ordered tail and defers
-        // the fsync to the group flush.
-        let batch = WalBatch {
-            tx_id: clock.next_tx,
-            commit_ts: clock.last_ts + 1,
-            snapshot_ts: clock.last_ts,
-            ops: encode_ops::<P>(&self.ops),
-        };
-        let publish = if grouped {
-            wal.enqueue(&batch).map(Some)
-        } else {
-            wal.append(&batch).map(|()| None)
-        };
-        let seq = match publish {
-            Ok(seq) => seq,
-            Err(e) => {
-                // Nothing entered the log (a failed serial append rolls
-                // its frame back; a refused enqueue never queued):
-                // nothing visible, nothing the next recovery would
-                // replay as acked. Release the speculative version and
-                // leave the database as it was; `commit_ts` is safe to
-                // reuse because the failed record is off the log.
-                db.forest().release(new_root);
-                db.finish_txn(pid, &mut self.inner.released);
-                self.inner.aborts += 1;
-                return Err(e.into());
-            }
-        };
-        // The batch is in the log; its identifiers are spent even if the
-        // `set` below loses to a contract-violating raw writer.
-        clock.next_tx += 1;
-        clock.last_ts = batch.commit_ts;
-
-        let ok = db.vmo.set(pid, encode(new_root));
-        db.finish_txn(pid, &mut self.inner.released);
-        if ok {
-            self.inner.commits += 1;
-            let ack = match seq {
-                Some(seq) => CommitAck {
-                    wal: Some(Arc::clone(wal)),
-                    seq,
-                    lead: !matches!(dd.group, GroupCommit::Flusher { .. }),
-                    commit_ts: Some(batch.commit_ts),
-                },
-                None => CommitAck::immediate(Some(batch.commit_ts)),
+        let mut seq = None;
+        let committed = self.inner.try_write_logged(&mut self.ops, f, |ops| {
+            // Publish to the log BEFORE the version becomes visible: the
+            // WAL record is the commit point. Serial appends (and
+            // fsyncs) here; grouped mode enqueues on the commit-ordered
+            // tail and defers the fsync to the group flush.
+            let batch = WalBatch {
+                tx_id: clock.next_tx,
+                commit_ts: clock.last_ts + 1,
+                snapshot_ts: clock.last_ts,
+                ops: encode_ops::<P>(ops),
             };
-            Ok((result, ack))
-        } else {
-            db.forest().release(new_root);
-            self.inner.aborts += 1;
-            Err(DurableError::RacedByRawWriter)
-        }
+            // On `Err` nothing entered the log (a failed serial append
+            // rolls its frame back; a refused enqueue never queued), so
+            // there is nothing the next recovery would replay as acked
+            // and `commit_ts` is safe to reuse.
+            if grouped {
+                seq = Some(wal.enqueue(&batch)?);
+            } else {
+                wal.append(&batch)?;
+            }
+            // The batch is in the log; its identifiers are spent even if
+            // the `set` loses to a contract-violating raw writer.
+            clock.next_tx += 1;
+            clock.last_ts = batch.commit_ts;
+            Ok::<(), WalError>(())
+        })?;
+        let result = committed.ok_or(DurableError::RacedByRawWriter)?;
+        let commit_ts = Some(clock.last_ts);
+        let ack = match seq {
+            Some(seq) => CommitAck {
+                wal: Some(Arc::clone(wal)),
+                seq,
+                lead: !matches!(dd.group, GroupCommit::Flusher { .. }),
+                commit_ts,
+            },
+            None => CommitAck::immediate(commit_ts),
+        };
+        Ok((result, ack))
     }
 
     /// Durably insert one entry.
@@ -1525,133 +1502,6 @@ impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for DurableSession<'_
             .field("pid", &self.inner.pid())
             .field("durable", &self.dd.durable())
             .finish_non_exhaustive()
-    }
-}
-
-/// The mutable view a durable write transaction receives: the
-/// [`WriteTxn`] surface, with every delta recorded for the WAL. There
-/// are deliberately no raw-root escape hatches — an unrecorded tree
-/// mutation could not be replayed.
-pub struct DurableTxn<'a, 't, P: TreeParams> {
-    txn: &'a mut WriteTxn<'t, P>,
-    /// `None` under [`Durability::Off`]: nothing is recorded.
-    log: Option<&'a mut Vec<MapOp<P>>>,
-}
-
-impl<P: TreeParams> DurableTxn<'_, '_, P> {
-    fn record(&mut self, op: MapOp<P>) {
-        if let Some(log) = self.log.as_deref_mut() {
-            log.push(op);
-        }
-    }
-
-    /// Insert or overwrite one entry.
-    pub fn insert(&mut self, key: P::K, value: P::V) {
-        self.record(MapOp::Insert(key.clone(), value.clone()));
-        self.txn.insert(key, value);
-    }
-
-    /// Remove one key; returns the removed value.
-    pub fn remove(&mut self, key: &P::K) -> Option<P::V> {
-        let removed = self.txn.remove(key);
-        if removed.is_some() {
-            self.record(MapOp::Remove(key.clone()));
-        }
-        removed
-    }
-
-    /// Remove every key in the inclusive range `[lo, hi]`.
-    pub fn remove_range(&mut self, lo: &P::K, hi: &P::K) {
-        if self.log.is_some() {
-            let mut doomed = Vec::new();
-            self.txn
-                .forest()
-                .range_for_each(self.txn.root(), lo, hi, &mut |k: &P::K, _: &P::V| {
-                    doomed.push(k.clone())
-                });
-            for k in doomed {
-                self.record(MapOp::Remove(k));
-            }
-        }
-        self.txn.remove_range(lo, hi);
-    }
-
-    /// Apply a whole batch of insertions (parallel `multi_insert`);
-    /// duplicates merge with `combine(old, new)`. The *merged* values are
-    /// what the WAL records, so replay needs no combine function.
-    pub fn multi_insert(
-        &mut self,
-        batch: Vec<(P::K, P::V)>,
-        combine: impl Fn(&P::V, &P::V) -> P::V + Sync,
-    ) {
-        if self.log.is_none() {
-            self.txn.multi_insert(batch, combine);
-            return;
-        }
-        let mut keys: Vec<P::K> = batch.iter().map(|(k, _)| k.clone()).collect();
-        keys.sort();
-        keys.dedup();
-        self.txn.multi_insert(batch, combine);
-        for k in keys {
-            let v = self
-                .txn
-                .get(&k)
-                .expect("multi_insert key present in working version")
-                .clone();
-            self.record(MapOp::Insert(k, v));
-        }
-    }
-
-    /// Remove a whole batch of keys (parallel `multi_remove`).
-    pub fn multi_remove(&mut self, keys: Vec<P::K>) {
-        if self.log.is_some() {
-            for k in &keys {
-                self.record(MapOp::Remove(k.clone()));
-            }
-        }
-        self.txn.multi_remove(keys);
-    }
-
-    // ---- queries on the working root (see own writes) ----
-
-    /// Look up a key in the working version.
-    pub fn get(&self, key: &P::K) -> Option<&P::V> {
-        self.txn.get(key)
-    }
-
-    /// Does the working version contain `key`?
-    pub fn contains(&self, key: &P::K) -> bool {
-        self.txn.contains(key)
-    }
-
-    /// Entry count of the working version.
-    pub fn len(&self) -> usize {
-        self.txn.len()
-    }
-
-    /// Is the working version empty?
-    pub fn is_empty(&self) -> bool {
-        self.txn.is_empty()
-    }
-
-    /// Monoid fold over the inclusive key range (O(log n)).
-    pub fn aug_range(&self, lo: &P::K, hi: &P::K) -> P::Aug {
-        self.txn.aug_range(lo, hi)
-    }
-
-    /// Fold over the whole working version.
-    pub fn aug_total(&self) -> P::Aug {
-        self.txn.aug_total()
-    }
-
-    /// Smallest entry of the working version.
-    pub fn min(&self) -> Option<(&P::K, &P::V)> {
-        self.txn.min()
-    }
-
-    /// Largest entry of the working version.
-    pub fn max(&self) -> Option<(&P::K, &P::V)> {
-        self.txn.max()
     }
 }
 

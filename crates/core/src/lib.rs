@@ -129,6 +129,10 @@
 //! assert_eq!(s.get(&1), Some(10));
 //! ```
 //!
+//! A durable write transaction is not a second mechanism: user code gets
+//! the same [`WriteTxn`] (with a delta log attached), and the commit is
+//! the same skeleton with the WAL publish as its one step before `set`.
+//!
 //! The [`Durability`] policy trades the crash-loss window against commit
 //! latency: `Always` fsyncs every commit, `EveryN(n)` amortizes (a
 //! crash loses at most the last `n - 1` acknowledged commits, always
@@ -164,8 +168,8 @@ use mvcc_vm::{PidPool, PswfVm, VersionMaintenance, VmKind};
 pub use batch::{BatchWriter, MapOp, SubmitError};
 pub use durable::{
     CommitAck, Durability, DurableConfig, DurableDatabase, DurableError, DurableSession,
-    DurableStats, DurableTxn, GroupCommit, Health, MaintenanceHandle, MaintenanceHook,
-    MaintenancePolicy, MaintenanceStats, MaintenanceTick, RecoveryReport,
+    DurableStats, GroupCommit, Health, MaintenanceHandle, MaintenanceHook, MaintenancePolicy,
+    MaintenanceStats, MaintenanceTick, RecoveryReport,
 };
 pub use mvcc_ftree as ftree;
 pub use mvcc_vm as vm;
@@ -350,29 +354,32 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
         self.vmo.uncollected_versions()
     }
 
-    /// Release tokens returned by the VM and precisely collect their trees.
-    fn collect_released(&self, released: &mut Vec<u64>) {
+    /// The common cleanup phase: release the pid's acquired version and
+    /// precisely collect the trees of whatever stopped being live.
+    pub(crate) fn finish_txn(&self, pid: usize, released: &mut Vec<u64>) {
+        self.vmo.release(pid, released);
         for tok in released.drain(..) {
             self.forest.release(decode(tok));
         }
     }
 
-    /// The common cleanup phase: release the pid's acquired version and
-    /// precisely collect whatever stopped being live.
-    pub(crate) fn finish_txn(&self, pid: usize, released: &mut Vec<u64>) {
-        self.vmo.release(pid, released);
-        self.collect_released(released);
-    }
-
-    /// One write attempt (Figure 1, right): acquire, run user code on an
-    /// owned snapshot root, `set`, then release/collect. No counters —
+    /// One write attempt (Figure 1, right) — the only commit skeleton in
+    /// this crate: acquire, run user code on an owned snapshot root, the
+    /// `before_visible` step, `set`, then release/collect. No counters —
     /// sessions account locally.
-    pub(crate) fn try_write_core<R>(
+    ///
+    /// `before_visible` sees the new root while it is still speculative
+    /// (the durable commit publishes to the WAL there). Its `Err` means
+    /// the transaction did not happen: the speculative version is
+    /// collected and nothing became visible. `Ok(None)` is a `set` lost
+    /// to a concurrent commit.
+    pub(crate) fn try_write_core<R, E>(
         &self,
         pid: usize,
         released: &mut Vec<u64>,
         f: &mut impl FnMut(&Forest<P>, Root) -> (Root, R),
-    ) -> Option<R> {
+        before_visible: impl FnOnce(Root) -> Result<(), E>,
+    ) -> Result<Option<R>, E> {
         let base = decode(self.vmo.acquire(pid));
         // Hand the user code an owned reference to the snapshot; the
         // version system keeps its own.
@@ -380,16 +387,15 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
         let (new_root, result) = f(&self.forest, base);
         // Commit: ownership of `new_root`'s reference transfers to the
         // version system on success.
-        let ok = self.vmo.set(pid, encode(new_root));
-        // ---- response (if ok) delivered; cleanup phase ----
+        let outcome = before_visible(new_root)
+            .map(|()| self.vmo.set(pid, encode(new_root)).then_some(result));
+        // ---- response (if committed) delivered; cleanup phase ----
         self.finish_txn(pid, released);
-        if ok {
-            Some(result)
-        } else {
+        if !matches!(outcome, Ok(Some(_))) {
             // Figure 1 line 7: collect the speculative version.
             self.forest.release(new_root);
-            None
         }
+        outcome
     }
 }
 

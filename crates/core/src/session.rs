@@ -27,12 +27,14 @@
 //!   [`TxnStats`] once on drop instead of three contended `fetch_add`s
 //!   per transaction.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::marker::PhantomData;
 
 use mvcc_ftree::{AllocCtx, Forest, Root, TreeParams};
 use mvcc_vm::{PswfVm, VersionMaintenance};
 
+use crate::batch::MapOp;
 use crate::{decode, Aborted, Database, Snapshot, TxnStats};
 
 /// An exclusive lease on one process id of a [`Database`], carrying the
@@ -54,11 +56,9 @@ pub struct Session<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
     pid: usize,
     ctx: AllocCtx,
     /// Reused across transactions: `release` appends, `collect` drains.
-    /// `pub(crate)`: the durable commit path ([`crate::durable`]) runs its
-    /// own transaction skeleton on the session's buffer and counters.
-    pub(crate) released: Vec<u64>,
-    pub(crate) commits: u64,
-    pub(crate) aborts: u64,
+    released: Vec<u64>,
+    commits: u64,
+    aborts: u64,
     reads: u64,
     /// Set when a lease reaper already returned this session's pid to the
     /// pool ([`crate::pool::LeaseGuard`]): the drop must not release it a
@@ -167,11 +167,7 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
     /// assert_eq!(s.get(&2), Some(20));
     /// ```
     pub fn write<R>(&mut self, mut f: impl FnMut(&mut WriteTxn<'_, P>) -> R) -> R {
-        self.write_raw(move |forest, base| {
-            let mut txn = WriteTxn { forest, root: base };
-            let r = f(&mut txn);
-            (txn.root, r)
-        })
+        self.write_raw(move |forest, base| WriteTxn::run(forest, base, None, &mut f))
     }
 
     /// [`Session::write`] without retrying: `Err(Aborted)` if a
@@ -181,11 +177,28 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
         &mut self,
         mut f: impl FnMut(&mut WriteTxn<'_, P>) -> R,
     ) -> Result<R, Aborted> {
-        self.try_write_raw(move |forest, base| {
-            let mut txn = WriteTxn { forest, root: base };
-            let r = f(&mut txn);
-            (txn.root, r)
-        })
+        self.try_write_raw(move |forest, base| WriteTxn::run(forest, base, None, &mut f))
+    }
+
+    /// One attempt of [`Session::write`] with a delta log attached to the
+    /// view — the durable commit ([`crate::durable`]). User code fills
+    /// `log`; `publish` then reads it as the skeleton's before-visible
+    /// step, and an `Err` from it means the transaction did not happen.
+    /// `Ok(None)` is a `set` lost to a concurrent commit.
+    pub(crate) fn try_write_logged<R, E>(
+        &mut self,
+        log: &mut Vec<MapOp<P>>,
+        mut f: impl FnMut(&mut WriteTxn<'_, P>) -> R,
+        publish: impl FnOnce(&[MapOp<P>]) -> Result<(), E>,
+    ) -> Result<Option<R>, E> {
+        log.clear();
+        // Two closures, one buffer, never at the same time: user code
+        // has returned before the before-visible step runs.
+        let log = RefCell::new(log);
+        self.attempt(
+            &mut |forest, base| WriteTxn::run(forest, base, Some(&mut **log.borrow_mut()), &mut f),
+            |_new_root| publish(&log.borrow()),
+        )
     }
 
     /// The raw closure form of [`Session::write`] for bulk operations:
@@ -194,9 +207,8 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
     /// as `multi_insert` / `union`).
     pub fn write_raw<R>(&mut self, mut f: impl FnMut(&Forest<P>, Root) -> (Root, R)) -> R {
         loop {
-            match self.attempt(&mut f) {
-                Some(r) => return r,
-                None => continue,
+            if let Ok(r) = self.try_write_raw(&mut f) {
+                return r;
             }
         }
     }
@@ -207,20 +219,27 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
         &mut self,
         mut f: impl FnMut(&Forest<P>, Root) -> (Root, R),
     ) -> Result<R, Aborted> {
-        self.attempt(&mut f).ok_or(Aborted)
+        let Ok(committed) = self.attempt(&mut f, |_new_root| Ok::<(), Infallible>(()));
+        committed.ok_or(Aborted)
     }
 
-    fn attempt<R>(&mut self, f: &mut impl FnMut(&Forest<P>, Root) -> (Root, R)) -> Option<R> {
+    /// One pass through the commit skeleton on this session's pid, shard
+    /// and release buffer; anything but a commit counts as an abort.
+    fn attempt<R, E>(
+        &mut self,
+        f: &mut impl FnMut(&Forest<P>, Root) -> (Root, R),
+        before_visible: impl FnOnce(Root) -> Result<(), E>,
+    ) -> Result<Option<R>, E> {
         let db = self.db;
         // Everything the attempt allocates (user path copies) or frees
         // (displaced/speculative versions) routes through this session's
         // shard, even if a thread pool migrated the session since the
         // last transaction.
         let _pin = db.forest.arena().pin(self.ctx);
-        let result = db.try_write_core(self.pid, &mut self.released, f);
+        let result = db.try_write_core(self.pid, &mut self.released, f, before_visible);
         match result {
-            Some(_) => self.commits += 1,
-            None => self.aborts += 1,
+            Ok(Some(_)) => self.commits += 1,
+            _ => self.aborts += 1,
         }
         result
     }
@@ -310,25 +329,47 @@ impl<P: TreeParams, M: VersionMaintenance> Drop for SessionReadGuard<'_, '_, P, 
     }
 }
 
-/// The mutable view a [`Session::write`] closure receives: it owns the
-/// transaction's working root, so user code mutates in place
+/// The mutable view a write transaction's closure receives — from
+/// [`Session::write`] and from [`crate::DurableSession::write`] alike. It
+/// owns the transaction's working root, so user code mutates in place
 /// (`txn.insert(k, v)`) instead of hand-threading `(Root, R)` tuples.
 /// Every read method queries the working root, i.e. the transaction sees
 /// its own earlier writes.
+///
+/// The root changes only through the update methods, because a durable
+/// commit recovers from the deltas they record; owned-root tree surgery
+/// goes through [`Session::write_raw`].
 pub struct WriteTxn<'t, P: TreeParams> {
     forest: &'t Forest<P>,
     root: Root,
+    /// Where a durable commit records this transaction's deltas for the
+    /// WAL; `None` on every in-memory path.
+    log: Option<&'t mut Vec<MapOp<P>>>,
 }
 
 impl<'t, P: TreeParams> WriteTxn<'t, P> {
-    /// Wrap an owned working root (the durable commit path builds its
-    /// transaction view by hand).
-    pub(crate) fn new(forest: &'t Forest<P>, root: Root) -> Self {
-        WriteTxn { forest, root }
+    /// Run user code on a view of the owned root `base`; returns the new
+    /// version's owned root beside the closure's result.
+    fn run<R>(
+        forest: &'t Forest<P>,
+        base: Root,
+        log: Option<&'t mut Vec<MapOp<P>>>,
+        f: &mut impl FnMut(&mut WriteTxn<'t, P>) -> R,
+    ) -> (Root, R) {
+        let mut txn = WriteTxn {
+            forest,
+            root: base,
+            log,
+        };
+        let r = f(&mut txn);
+        (txn.root, r)
     }
 
     /// Insert or overwrite one entry.
     pub fn insert(&mut self, key: P::K, value: P::V) {
+        if let Some(log) = self.log.as_deref_mut() {
+            log.push(MapOp::Insert(key.clone(), value.clone()));
+        }
         self.root = self.forest.insert(self.root, key, value);
     }
 
@@ -336,32 +377,67 @@ impl<'t, P: TreeParams> WriteTxn<'t, P> {
     pub fn remove(&mut self, key: &P::K) -> Option<P::V> {
         let (root, removed) = self.forest.remove(self.root, key);
         self.root = root;
+        // A miss changed nothing: nothing to replay.
+        if let (Some(log), Some(_)) = (self.log.as_deref_mut(), &removed) {
+            log.push(MapOp::Remove(key.clone()));
+        }
         removed
     }
 
     /// Remove every key in the inclusive range `[lo, hi]`.
     pub fn remove_range(&mut self, lo: &P::K, hi: &P::K) {
+        // Replay has no range op: the log names each doomed key.
+        if let Some(log) = self.log.as_deref_mut() {
+            self.forest
+                .range_for_each(self.root, lo, hi, &mut |k: &P::K, _: &P::V| {
+                    log.push(MapOp::Remove(k.clone()))
+                });
+        }
         self.root = self.forest.remove_range(self.root, lo, hi);
     }
 
     /// Apply a whole batch of insertions (parallel `multi_insert`);
-    /// duplicates merge with `combine(old, new)`.
+    /// duplicates merge with `combine(old, new)`. A durable commit logs
+    /// the *merged* values, so replay needs no combine function.
     pub fn multi_insert(
         &mut self,
         batch: Vec<(P::K, P::V)>,
         combine: impl Fn(&P::V, &P::V) -> P::V + Sync,
     ) {
+        let Some(log) = self.log.as_deref_mut() else {
+            self.root = self.forest.multi_insert(self.root, batch, combine);
+            return;
+        };
+        let mut keys: Vec<P::K> = batch.iter().map(|(k, _)| k.clone()).collect();
+        keys.sort();
+        keys.dedup();
         self.root = self.forest.multi_insert(self.root, batch, combine);
+        for k in keys {
+            let v = self
+                .forest
+                .get(self.root, &k)
+                .expect("multi_insert key present in working version")
+                .clone();
+            log.push(MapOp::Insert(k, v));
+        }
     }
 
     /// Remove a whole batch of keys (parallel `multi_remove`).
     pub fn multi_remove(&mut self, keys: Vec<P::K>) {
+        self.log_removes(&keys);
         self.root = self.forest.multi_remove(self.root, keys);
     }
 
     /// Remove a borrowed, strictly-sorted batch of keys.
     pub fn multi_remove_sorted(&mut self, keys: &[P::K]) {
+        self.log_removes(keys);
         self.root = self.forest.multi_remove_sorted(self.root, keys);
+    }
+
+    fn log_removes(&mut self, keys: &[P::K]) {
+        if let Some(log) = self.log.as_deref_mut() {
+            log.extend(keys.iter().cloned().map(MapOp::Remove));
+        }
     }
 
     // ---- queries on the working root (see own writes) ----
@@ -406,25 +482,8 @@ impl<'t, P: TreeParams> WriteTxn<'t, P> {
         self.forest.max(self.root)
     }
 
-    // ---- escape hatches for advanced tree surgery ----
-
-    /// The forest the transaction builds in (for operations this view
-    /// does not wrap). Any root manipulation must keep the ownership
-    /// discipline: pair with [`WriteTxn::root`] / [`WriteTxn::set_root`].
-    pub fn forest(&self) -> &'t Forest<P> {
-        self.forest
-    }
-
-    /// The current working root (owned by the transaction).
+    /// The current working root (owned by the transaction; read-only).
     pub fn root(&self) -> Root {
         self.root
-    }
-
-    /// Replace the working root with `new_root`, taking ownership of it
-    /// and returning the previous root (which the caller now owns — it
-    /// is typically consumed by the tree operation that produced
-    /// `new_root`).
-    pub fn set_root(&mut self, new_root: Root) -> Root {
-        std::mem::replace(&mut self.root, new_root)
     }
 }

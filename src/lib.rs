@@ -166,8 +166,8 @@ pub use mvcc_workloads as workloads;
 pub mod prelude {
     pub use mvcc_core::{
         AcquireTimeout, BatchWriter, CommitAck, Database, Durability, DurableConfig,
-        DurableDatabase, DurableError, DurableSession, DurableStats, DurableTxn, GroupCommit,
-        Health, LeaseGuard, LeaseRevoked, MaintenanceHandle, MaintenanceHook, MaintenancePolicy,
+        DurableDatabase, DurableError, DurableSession, DurableStats, GroupCommit, Health,
+        LeaseGuard, LeaseRevoked, MaintenanceHandle, MaintenanceHook, MaintenancePolicy,
         MaintenanceStats, MaintenanceTick, MapOp, PoolStats, RecoveryReport, Router, Session,
         SessionError, SessionPool, SessionReadGuard, Snapshot, WriteTxn,
     };

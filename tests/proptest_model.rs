@@ -3,12 +3,16 @@
 //! `BTreeMap` models over arbitrary operation sequences.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use multiversion::core::{BatchWriter, Database, MapOp};
+use multiversion::core::{
+    BatchWriter, Database, Durability, DurableConfig, DurableDatabase, MapOp, WriteTxn,
+};
 use multiversion::ftree::{Forest, SumU64Map, U64Map};
 use multiversion::vm::VmKind;
+use multiversion::wal::FaultStorage;
 
 #[derive(Debug, Clone)]
 enum DbOp {
@@ -33,10 +37,12 @@ fn db_op() -> impl Strategy<Value = DbOp> {
     ]
 }
 
-/// One step of a write transaction on the point-update path.
+/// One step of a write transaction: the point-update path, plus the
+/// range and bulk updates whose deltas a durable commit has to work out.
 #[derive(Debug, Clone)]
 enum Step {
     Put(u64, u64),
+    /// The preload holds even keys only, so an odd `k` is usually a miss.
     Del(u64),
     /// `k` and `k ^ 1`: one of the two is always the other's ancestor, so
     /// the second insert revisits nodes the first one just created.
@@ -44,16 +50,48 @@ enum Step {
     /// A run of consecutive keys removed one by one: empties one side of
     /// the tree until it must rotate.
     DelRun(u64, u64),
+    DelRange(u64, u64),
+    /// `multi_insert` summing into what is there; the keys come from a
+    /// handful of values, so batches repeat them.
+    PutMany(Vec<(u64, u64)>),
+    /// `multi_remove_sorted` (strictly increasing keys).
+    DelSorted(Vec<u64>),
 }
 
 impl Step {
-    /// The same step as plain point operations.
-    fn unfold(&self) -> Vec<(u64, Option<u64>)> {
-        match *self {
-            Step::Put(k, v) => vec![(k, Some(v))],
-            Step::Del(k) => vec![(k, None)],
-            Step::PutPair(k, v) => vec![(k, Some(v)), (k ^ 1, Some(v))],
-            Step::DelRun(k, n) => (k..k + n).map(|k| (k, None)).collect(),
+    /// Run the step on a write view, recording what each `remove` found.
+    fn apply(&self, txn: &mut WriteTxn<'_, SumU64Map>, removed: &mut Vec<Option<u64>>) {
+        match self {
+            Step::Put(k, v) => txn.insert(*k, *v),
+            Step::Del(k) => removed.push(txn.remove(k)),
+            Step::PutPair(k, v) => {
+                txn.insert(*k, *v);
+                txn.insert(k ^ 1, *v);
+            }
+            Step::DelRun(k, n) => removed.extend((*k..k + n).map(|k| txn.remove(&k))),
+            Step::DelRange(lo, hi) => txn.remove_range(lo, hi),
+            Step::PutMany(batch) => txn.multi_insert(batch.clone(), |old, new| old + new),
+            Step::DelSorted(keys) => txn.multi_remove_sorted(keys),
+        }
+    }
+
+    /// The same step on the model.
+    fn apply_model(&self, model: &mut BTreeMap<u64, u64>, removed: &mut Vec<Option<u64>>) {
+        match self {
+            Step::Put(k, v) => drop(model.insert(*k, *v)),
+            Step::Del(k) => removed.push(model.remove(k)),
+            Step::PutPair(k, v) => {
+                model.insert(*k, *v);
+                model.insert(k ^ 1, *v);
+            }
+            Step::DelRun(k, n) => removed.extend((*k..k + n).map(|k| model.remove(&k))),
+            Step::DelRange(lo, hi) => model.retain(|k, _| k < lo || k > hi),
+            Step::PutMany(batch) => {
+                for (k, v) in batch {
+                    *model.entry(*k).or_insert(0) += v;
+                }
+            }
+            Step::DelSorted(keys) => model.retain(|k, _| !keys.contains(k)),
         }
     }
 }
@@ -61,23 +99,33 @@ impl Step {
 fn step() -> impl Strategy<Value = Step> {
     let key = 0u64..192;
     let val = 0u64..1000;
+    let few_keys = (0u64..16).prop_map(|k| k * 12);
     prop_oneof![
         (key.clone(), val.clone()).prop_map(|(k, v)| Step::Put(k, v)),
         key.clone().prop_map(Step::Del),
-        (key.clone(), val).prop_map(|(k, v)| Step::PutPair(k, v)),
-        (key, 1u64..12).prop_map(|(k, n)| Step::DelRun(k, n)),
+        (key.clone(), val.clone()).prop_map(|(k, v)| Step::PutPair(k, v)),
+        (key.clone(), 1u64..12).prop_map(|(k, n)| Step::DelRun(k, n)),
+        (key.clone(), 0u64..24).prop_map(|(lo, n)| Step::DelRange(lo, lo + n)),
+        prop::collection::vec((few_keys, val), 1..10).prop_map(Step::PutMany),
+        prop::collection::vec(key, 0..8).prop_map(|mut keys| {
+            keys.sort_unstable();
+            keys.dedup();
+            Step::DelSorted(keys)
+        }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Single- and multi-op write transactions on the point-update path
-    /// (borrowed descent through shared nodes, in-place update of the
-    /// nodes a transaction created itself) while up to K older versions
-    /// stay retained: no retained version ever changes, every version is
-    /// a well-formed tree, and once everything is released the arena is
-    /// empty.
+    /// Single- and multi-op write transactions (borrowed descent through
+    /// shared nodes, in-place update of the nodes a transaction created
+    /// itself, range and bulk updates) while up to K older versions stay
+    /// retained: no retained version ever changes, every version is a
+    /// well-formed tree, and once everything is released the arena is
+    /// empty. The same steps run through a durable session (fsync every
+    /// commit, in-memory storage): its contents stay equal, and what
+    /// recovery replays from the logged deltas is the model.
     #[test]
     fn point_updates_never_disturb_retained_snapshots(
         txns in prop::collection::vec(
@@ -89,35 +137,34 @@ proptest! {
         let db: Database<SumU64Map> = Database::new(1);
         let f = db.forest();
         let mut s = db.session().unwrap();
+        let storage = Arc::new(FaultStorage::unfaulted());
+        let cfg = DurableConfig::default().with_durability(Durability::Always);
+        let ddb: DurableDatabase<SumU64Map> =
+            DurableDatabase::recover_storage(storage.clone(), 1, cfg.clone()).unwrap();
+        let mut ds = ddb.session().unwrap();
         let mut model: BTreeMap<u64, u64> = (0..96u64).map(|k| (2 * k, k)).collect();
         let preload: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         s.write(|txn| txn.multi_insert(preload.clone(), |_o, n| *n));
+        ds.write(|txn| txn.multi_insert(preload.clone(), |_o, n| *n)).unwrap();
         let mut retained = VecDeque::new();
 
         for (steps, keep) in &txns {
-            let ops: Vec<(u64, Option<u64>)> = steps.iter().flat_map(Step::unfold).collect();
-            let mut removed = Vec::new();
-            let root = s.write(|txn| {
-                removed.clear();
-                for &(k, v) in &ops {
-                    match v {
-                        Some(v) => txn.insert(k, v),
-                        None => removed.push(txn.remove(&k)),
-                    }
-                }
-                txn.root()
-            });
+            let mut run = |txn: &mut WriteTxn<'_, SumU64Map>| {
+                let mut removed = Vec::new();
+                steps.iter().for_each(|step| step.apply(txn, &mut removed));
+                (txn.root(), removed)
+            };
+            let (root, removed) = s.write(&mut run);
+            let (_, durable_removed) = ds.write(&mut run).unwrap();
             let mut expect_removed = Vec::new();
-            for &(k, v) in &ops {
-                match v {
-                    Some(v) => drop(model.insert(k, v)),
-                    None => expect_removed.push(model.remove(&k)),
-                }
-            }
+            steps.iter().for_each(|step| step.apply_model(&mut model, &mut expect_removed));
             prop_assert_eq!(&removed, &expect_removed);
+            prop_assert_eq!(&durable_removed, &expect_removed);
 
+            let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(f.check_invariants(root), model.len());
-            prop_assert_eq!(f.to_vec(root), model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+            prop_assert_eq!(&f.to_vec(root), &want);
+            prop_assert_eq!(&ds.read(|snap| snap.to_vec()), &want);
             for (old_root, old_model) in &retained {
                 f.check_invariants(*old_root);
                 prop_assert_eq!(&f.to_vec(*old_root), old_model, "a retained snapshot changed");
@@ -129,7 +176,7 @@ proptest! {
                     f.release(oldest);
                 }
                 f.retain(root);
-                retained.push_back((root, f.to_vec(root)));
+                retained.push_back((root, want));
             }
         }
 
@@ -143,6 +190,13 @@ proptest! {
             (f.empty(), ())
         });
         prop_assert_eq!(f.arena().live(), 0);
+
+        drop(ds);
+        drop(ddb);
+        let recovered: DurableDatabase<SumU64Map> =
+            DurableDatabase::recover_storage(storage, 1, cfg).unwrap();
+        let got = recovered.session().unwrap().read(|snap| snap.to_vec());
+        prop_assert_eq!(got, model.into_iter().collect::<Vec<_>>());
     }
 
     /// The transactional database behaves exactly like a sequential

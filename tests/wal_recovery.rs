@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use multiversion::core::{
-    Durability, DurableConfig, DurableDatabase, DurableError, DurableTxn, GroupCommit,
+    Durability, DurableConfig, DurableDatabase, DurableError, GroupCommit, WriteTxn,
 };
 use multiversion::ftree::U64Map;
 use multiversion::wal::{FaultPlan, FaultStorage, RetryPolicy};
@@ -56,7 +56,7 @@ fn open_g(
 
 /// The deterministic per-commit delta: commit `i` always performs the
 /// same ops, so the database after the first `t` commits is computable.
-fn apply_commit(txn: &mut DurableTxn<'_, '_, U64Map>, i: u64) {
+fn apply_commit(txn: &mut WriteTxn<'_, U64Map>, i: u64) {
     txn.insert(i % 16, 1000 + i);
     if i % 4 == 3 {
         txn.remove(&((i / 2) % 16));

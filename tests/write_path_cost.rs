@@ -2,13 +2,16 @@
 //! exactly: heap allocations (a counting global allocator) and arena
 //! tuples allocated/freed (`ArenaStats` deltas). A steady-state overwrite
 //! copies exactly the root-to-key path, frees exactly the displaced one,
-//! and touches the heap not at all.
+//! and touches the heap not at all. A durable commit costs the tree the
+//! same: the WAL adds heap bytes, never tree nodes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use multiversion::core::{Database, Session};
+use multiversion::core::{Database, Durability, DurableConfig, DurableDatabase, Session};
 use multiversion::ftree::{Forest, Root, U64Map};
+use multiversion::wal::FaultStorage;
 
 /// Counts the calling thread's heap allocations (the harness runs the
 /// tests of this file on parallel threads; each sees only its own).
@@ -43,14 +46,28 @@ fn heap_allocs() -> u64 {
 
 const KEYS: u64 = 1 << 16;
 
-/// A database holding keys `0..KEYS`, bulk-built as one version.
-fn preloaded(processes: usize) -> Database<U64Map> {
-    let db: Database<U64Map> = Database::new(processes);
+/// Bulk-build keys `0..KEYS` as one version of `db`.
+fn preload(db: &Database<U64Map>) {
     let items: Vec<(u64, u64)> = (0..KEYS).map(|k| (k, k)).collect();
     db.session().unwrap().write_raw(|f, base| {
         f.release(base);
         (f.build_sorted(&items), ())
     });
+}
+
+/// A database holding keys `0..KEYS`.
+fn preloaded(processes: usize) -> Database<U64Map> {
+    let db: Database<U64Map> = Database::new(processes);
+    preload(&db);
+    db
+}
+
+/// The same behind a durable front on in-memory storage. The preload
+/// goes past the log; nothing here recovers.
+fn preloaded_durable(durability: Durability) -> DurableDatabase<U64Map> {
+    let cfg = DurableConfig::default().with_durability(durability);
+    let db = DurableDatabase::recover_storage(Arc::new(FaultStorage::unfaulted()), 1, cfg).unwrap();
+    preload(db.database());
     db
 }
 
@@ -77,6 +94,15 @@ fn depth(f: &Forest<U64Map>, root: Root, key: u64) -> u64 {
 fn arena_totals(db: &Database<U64Map>) -> (u64, u64) {
     let s = db.forest().arena().stats();
     (s.allocated_total, s.freed_total)
+}
+
+/// What `write` spent: heap allocations, and arena tuples
+/// `(allocated, freed)` in `db`.
+fn cost(db: &Database<U64Map>, write: impl FnOnce()) -> (u64, (u64, u64)) {
+    let (h0, a0) = (heap_allocs(), arena_totals(db));
+    write();
+    let (h1, a1) = (heap_allocs(), arena_totals(db));
+    (h1 - h0, (a1.0 - a0.0, a1.1 - a0.1))
 }
 
 /// A fixed scramble of `0..KEYS` (odd multiplier: a bijection).
@@ -158,6 +184,37 @@ fn an_adjacent_pair_copies_the_deeper_path_only() {
         assert_eq!(f1 - f0, deeper, "pair at {k}: freed != deeper path");
     }
     assert_eq!(db.forest().arena().live(), KEYS);
+}
+
+#[test]
+fn a_durable_overwrite_costs_the_tree_what_an_in_memory_one_does() {
+    // The same overwrites on three databases of the same shape, each
+    // through the `WriteTxn` view.
+    let mem = preloaded(1);
+    let off = preloaded_durable(Durability::Off);
+    let always = preloaded_durable(Durability::Always);
+    let mut mem_s = mem.session().unwrap();
+    let mut off_s = off.session().unwrap();
+    let mut always_s = always.session().unwrap();
+    for i in 0..264 {
+        let key = scrambled(i);
+        let (mem_heap, tuples) = cost(&mem, || mem_s.write(|txn| txn.insert(key, i)));
+        let (off_heap, off_tuples) = cost(off.database(), || {
+            off_s.write(|txn| txn.insert(key, i)).unwrap()
+        });
+        let (_, always_tuples) = cost(always.database(), || {
+            always_s.write(|txn| txn.insert(key, i)).unwrap()
+        });
+        assert_eq!(off_tuples, tuples, "Off, key {key}");
+        assert_eq!(always_tuples, tuples, "Always, key {key}");
+        // Past warm-up, neither in-memory path touches the heap; the
+        // logged one does (its WAL frame), which is why it is not here.
+        if i >= 64 {
+            assert_eq!(mem_heap, 0, "Session::write, key {key}");
+            assert_eq!(off_heap, 0, "Durability::Off, key {key}");
+        }
+    }
+    assert_eq!(always.database().forest().arena().live(), KEYS);
 }
 
 #[test]
