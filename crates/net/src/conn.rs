@@ -14,13 +14,16 @@
 //! Backpressure is structural: reads stop while [`Conn::parsed_backlog`]
 //! or the write buffer is over budget, so a client that pipelines
 //! faster than its requests are admitted holds bytes in *its* socket,
-//! not in server memory.
+//! not in server memory. [`Conn::interest`] tells the server's
+//! readiness wait the same thing: a back-pressured or closing
+//! connection is not waited on for input.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 use crate::proto::{self, ProtoError, Request, Response};
+use crate::readiness::PollFd;
 
 /// Stop reading a connection once this many parsed requests await
 /// admission (the client is pipelining past its turn).
@@ -47,10 +50,13 @@ pub enum Hangup {
 /// One client connection's IO state.
 pub struct Conn {
     stream: TcpStream,
-    /// Unparsed inbound bytes (`rpos..` is live; compacted when the
-    /// consumed prefix dominates).
+    /// Inbound bytes: `rpos..filled` is received and unparsed
+    /// (compacted when the consumed prefix dominates), `filled..` is
+    /// initialised room the next read lands in — kept across calls, so
+    /// a read costs no zero-fill.
     rbuf: Vec<u8>,
     rpos: usize,
+    filled: usize,
     /// Staged outbound bytes (`wpos..` is unsent).
     wbuf: Vec<u8>,
     wpos: usize,
@@ -72,6 +78,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            filled: 0,
             wbuf: Vec::new(),
             wpos: 0,
             requests: VecDeque::new(),
@@ -120,45 +127,55 @@ impl Conn {
 
     /// Nothing staged, nothing parsed, nothing mid-frame?
     pub fn is_idle(&self) -> bool {
-        self.requests.is_empty() && self.wbuf.len() == self.wpos && self.rbuf.len() == self.rpos
+        self.requests.is_empty() && self.flushed() && self.filled == self.rpos
+    }
+
+    /// Should the socket be read? Not once the stream is closing, and
+    /// not while admission or writes lag (backpressure).
+    fn wants_read(&self) -> bool {
+        self.closing.is_none()
+            && self.requests.len() < MAX_PARSED_BACKLOG
+            && self.wbuf.len() - self.wpos < MAX_WRITE_BACKLOG
+    }
+
+    /// What the server's readiness wait should watch this socket for:
+    /// input while [`Conn::fill`] would read it, room to write while
+    /// output is unflushed. `None`: only an admission can move this
+    /// connection.
+    pub fn interest(&self) -> Option<PollFd> {
+        let (read, write) = (self.wants_read(), !self.flushed());
+        (read || write).then(|| PollFd::new(&self.stream, read, write))
     }
 
     /// Pull whatever the socket has (until `WouldBlock`), split and
     /// decode complete frames into the request queue. Returns whether
-    /// any byte or frame moved (the loop's progress signal).
+    /// any byte or frame moved (the idle reaper's activity signal).
     pub fn fill(&mut self) -> bool {
         if self.closing.is_some() {
             return false;
         }
         let mut progress = false;
-        // Backpressure: don't read while admission or writes lag.
-        while self.requests.len() < MAX_PARSED_BACKLOG
-            && self.wbuf.len() - self.wpos < MAX_WRITE_BACKLOG
-        {
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
+        while self.wants_read() {
+            // Grows only when a partial frame has eaten into the room.
+            if self.rbuf.len() < self.filled + READ_CHUNK {
+                self.rbuf.resize(self.filled + READ_CHUNK, 0);
+            }
+            let room = &mut self.rbuf[self.filled..self.filled + READ_CHUNK];
+            match self.stream.read(room) {
                 Ok(0) => {
-                    self.rbuf.truncate(old);
                     self.closing = Some(Hangup::Eof);
                     break;
                 }
                 Ok(n) => {
-                    self.rbuf.truncate(old + n);
+                    self.filled += n;
                     progress = true;
                     if n < READ_CHUNK {
                         break;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.rbuf.truncate(old);
                     self.closing = Some(Hangup::Io(e.to_string()));
                     break;
                 }
@@ -166,7 +183,7 @@ impl Conn {
         }
         // Split and decode every complete frame.
         while self.closing.is_none() {
-            match proto::split_frame(&self.rbuf[self.rpos..]) {
+            match proto::split_frame(&self.rbuf[self.rpos..self.filled]) {
                 Ok(Some((payload, consumed))) => {
                     match proto::decode_request(payload) {
                         Ok(req) => self.requests.push_back(req),
@@ -185,9 +202,10 @@ impl Conn {
                 }
             }
         }
-        // Compact once the dead prefix dominates the buffer.
-        if self.rpos > 0 && self.rpos * 2 >= self.rbuf.len() {
-            self.rbuf.drain(..self.rpos);
+        // Compact once the dead prefix dominates the received bytes.
+        if self.rpos > 0 && self.rpos * 2 >= self.filled {
+            self.rbuf.copy_within(self.rpos..self.filled, 0);
+            self.filled -= self.rpos;
             self.rpos = 0;
         }
         progress
@@ -237,5 +255,77 @@ impl std::fmt::Debug for Conn {
             .field("unflushed", &(self.wbuf.len() - self.wpos))
             .field("closing", &self.closing)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// A connected (client, server-side `Conn`) pair over loopback.
+    fn pair() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        (client, Conn::new(served).unwrap())
+    }
+
+    /// The read window is reused: frames cut at every offset by the
+    /// transport come out whole and in order, a read that finds nothing
+    /// costs nothing, and the buffer does not grow however long the
+    /// stream runs.
+    #[test]
+    fn fill_reuses_its_window_across_partial_frames() {
+        const FRAMES: u64 = 2000;
+        let (mut client, mut conn) = pair();
+        assert!(!conn.fill(), "nothing sent: no progress");
+        assert_eq!(conn.rbuf.len(), READ_CHUNK, "one window, allocated once");
+        assert!(conn.is_idle());
+
+        let mut wire = Vec::new();
+        for k in 0..FRAMES {
+            proto::encode_request(&Request::Put { key: k, value: k }, &mut wire);
+        }
+        let frame = wire.len() / FRAMES as usize;
+        let (mut sent, mut seen, mut step) = (0usize, 0u64, 1usize);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sent < wire.len() {
+            // 1..=61 bytes at a time: the cuts walk through the frame.
+            let n = step.min(wire.len() - sent);
+            client.write_all(&wire[sent..sent + n]).unwrap();
+            sent += n;
+            step = step % 61 + 1;
+            // Every whole frame sent so far arrives (loopback: soon).
+            while seen < (sent / frame) as u64 {
+                assert!(Instant::now() < deadline, "bytes never arrived");
+                conn.fill();
+                while let Some(req) = conn.pop_request() {
+                    let want = Request::Put {
+                        key: seen,
+                        value: seen,
+                    };
+                    assert_eq!(req, want, "frame {seen} mangled or out of order");
+                    seen += 1;
+                }
+            }
+            assert!(conn.rbuf.len() < 2 * READ_CHUNK, "the window grew");
+        }
+        assert_eq!(seen, FRAMES);
+        assert!(conn.is_idle() && conn.hangup().is_none());
+
+        // The peer hangs up: `fill` reports it, once.
+        drop(client);
+        while conn.hangup().is_none() {
+            assert!(Instant::now() < deadline, "EOF never arrived");
+            conn.fill();
+        }
+        assert_eq!(conn.hangup(), Some(&Hangup::Eof));
+        assert!(
+            conn.interest().is_none(),
+            "a closed, flushed conn waits on nothing"
+        );
     }
 }

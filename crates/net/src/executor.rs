@@ -6,7 +6,7 @@
 //! session admission queue holds one `AcquireFuture`; the waker handed
 //! to that future, when woken by a session release, pushes the
 //! connection's id into a shared [`ReadySet`]. The loop drains the set
-//! each iteration and re-polls exactly the woken futures — so one
+//! each sweep and re-polls exactly the woken futures — so one
 //! session release translates into one future poll, mirroring the
 //! pool's one-wake-per-release invariant at the connection layer.
 //!
@@ -14,20 +14,45 @@
 //! releases the same pids), so the set is a mutex-guarded id vector
 //! with a dedup bitmask; the loop never blocks on it.
 //!
+//! The loop does block in its readiness wait
+//! ([`crate::readiness::wait`]), so a wake must be able to end that
+//! wait. The set owns a [`WakePipe`] whose read end is in every wait
+//! set, and a `parked` flag orders the two threads:
+//!
+//! ```text
+//! loop:  parked = true  →  ids empty?  →  block        →  parked = false
+//! wake:  ids.push(id)   →  parked.swap(false)?  →  one byte into the pipe
+//! ```
+//!
+//! Either the loop's emptiness check sees the id (it takes the same
+//! mutex the push did) and does not block, or the push comes later and
+//! finds `parked` set: no wake is lost, and a loop that is not about to
+//! block costs a waker no syscall. A caller with nothing to push
+//! (shutdown) writes the pipe directly: a byte that lands while the loop
+//! is busy just makes its next wait return at once.
+//!
 //! For driving a single future from synchronous code (tests, simple
 //! clients), use [`block_on`] — re-exported from `mvcc_core::pool`,
 //! where the admission futures live.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Wake, Waker};
 
 pub use mvcc_core::pool::block_on;
+
+use crate::readiness::WakePipe;
 
 /// Connection ids whose admission futures have been woken and must be
 /// re-polled. Shared between the poll loop (drains) and every
 /// connection waker (inserts, possibly from other threads).
 pub struct ReadySet {
     inner: Mutex<ReadyInner>,
+    /// The loop has announced it is about to block (see the module
+    /// docs): the next push owes it a byte on `pipe`.
+    parked: AtomicBool,
+    pipe: WakePipe,
 }
 
 struct ReadyInner {
@@ -40,13 +65,15 @@ struct ReadyInner {
 }
 
 impl ReadySet {
-    pub fn new() -> Arc<ReadySet> {
-        Arc::new(ReadySet {
+    pub fn new() -> io::Result<Arc<ReadySet>> {
+        Ok(Arc::new(ReadySet {
             inner: Mutex::new(ReadyInner {
                 ids: Vec::new(),
                 queued: Vec::new(),
             }),
-        })
+            parked: AtomicBool::new(false),
+            pipe: WakePipe::new()?,
+        }))
     }
 
     /// Mark `id` ready (idempotent until drained).
@@ -59,6 +86,33 @@ impl ReadySet {
             inner.queued[id] = true;
             inner.ids.push(id);
         }
+        drop(inner);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.pipe.wake();
+        }
+    }
+
+    /// Announce that the loop is about to block. `false` — and nothing
+    /// announced — if something is already woken: don't block.
+    pub fn park(&self) -> bool {
+        self.parked.store(true, Ordering::SeqCst);
+        let clear = self.is_empty();
+        if !clear {
+            self.unpark();
+        }
+        clear
+    }
+
+    /// The wait [`ReadySet::park`] announced is over: pushes cost no
+    /// syscall again.
+    pub fn unpark(&self) {
+        self.parked.store(false, Ordering::SeqCst);
+    }
+
+    /// The pipe whose read end the loop puts in its wait set, and
+    /// drains when a wait reports it readable.
+    pub fn pipe(&self) -> &WakePipe {
+        &self.pipe
     }
 
     /// Take the woken ids, in wake order. `out` is reused across loop
@@ -72,7 +126,7 @@ impl ReadySet {
         }
     }
 
-    /// Is anything woken? (Cheap idle check before sleeping.)
+    /// Is anything woken?
     pub fn is_empty(&self) -> bool {
         self.inner
             .lock()
@@ -113,7 +167,7 @@ mod tests {
 
     #[test]
     fn wakes_dedup_until_drained() {
-        let ready = ReadySet::new();
+        let ready = ReadySet::new().unwrap();
         let w3 = conn_waker(&ready, 3);
         let w1 = conn_waker(&ready, 1);
         w3.wake_by_ref();
@@ -129,9 +183,44 @@ mod tests {
         assert_eq!(out, vec![3]);
     }
 
+    /// The wake-pipe protocol: a push pays for a byte only when the loop
+    /// has announced a block, once per announcement; and the loop never
+    /// blocks past an id that is already in the set.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn only_a_parked_loop_is_owed_a_byte() {
+        use crate::readiness::{wait, PollFd};
+        use std::time::Duration;
+
+        let ready = ReadySet::new().unwrap();
+        let piped = || {
+            let mut fds = [PollFd::new(ready.pipe(), true, false)];
+            wait(&mut fds, Duration::ZERO).unwrap() == 1
+        };
+        let (w1, w2) = (conn_waker(&ready, 1), conn_waker(&ready, 2));
+
+        w1.wake_by_ref();
+        assert!(!piped(), "the loop is awake: no syscall for the waker");
+        assert!(!ready.park(), "an id is waiting: do not block");
+        w2.wake_by_ref();
+        assert!(!piped(), "a refused park announces nothing");
+
+        let mut out = Vec::new();
+        ready.drain_into(&mut out);
+        assert!(ready.park(), "empty set: block");
+        w1.wake_by_ref();
+        assert!(piped(), "the parked loop gets its byte");
+        ready.pipe().drain();
+        w2.wake_by_ref();
+        assert!(!piped(), "one byte per announcement");
+        ready.unpark();
+        ready.drain_into(&mut out);
+        assert_eq!(out, vec![1, 2]);
+    }
+
     #[test]
     fn wakes_cross_threads() {
-        let ready = ReadySet::new();
+        let ready = ReadySet::new().unwrap();
         std::thread::scope(|s| {
             for id in 0..8 {
                 let w = conn_waker(&ready, id);

@@ -14,15 +14,21 @@
 //! - [`conn`] — per-connection nonblocking buffer management with
 //!   structural backpressure;
 //! - [`executor`] — the ready-set mini executor the server loop is
-//!   built on (one session release → one future re-poll);
+//!   built on (one session release → one future re-poll), and the
+//!   wake-pipe protocol that lets a release on another thread end the
+//!   loop's wait;
+//! - [`readiness`] — the blocking readiness wait, one `ppoll(2)` over
+//!   the listener, the connections and the wake pipe;
 //! - [`server`] — the single-threaded poll loop multiplexing every
 //!   connection onto the router, with FIFO admission auditing;
 //! - [`client`] — a small blocking client for tests, benches and
 //!   examples.
 //!
-//! Everything is `std`-only: nonblocking `std::net` sockets, a scan
-//! poll loop, and hand-rolled wakers — no tokio, no epoll binding, in
-//! keeping with the repo's no-external-dependencies rule.
+//! Everything is `std`-only: nonblocking `std::net` sockets, hand-rolled
+//! wakers, and a single `extern "C"` declaration of `ppoll` against the
+//! libc `std` already links — no tokio, no `libc` crate, in keeping with
+//! the repo's no-external-dependencies rule. [`readiness`] holds the
+//! crate's only `unsafe`; everywhere else it is denied.
 //!
 //! # A round trip
 //!
@@ -94,7 +100,7 @@
 //! # handle.shutdown().unwrap();
 //! ```
 //!
-//! The server's scan loop runs a coarse maintenance tick (~1ms): it
+//! The server's loop runs a coarse maintenance tick (~1ms): it
 //! re-polls deadline-expired admissions, reaps idle connections
 //! (mid-pipeline connections are never reaped), samples the
 //! queue-depth high-water gauge into [`ServerStats`], and sweeps
@@ -104,10 +110,14 @@
 //! [`Router`]: mvcc_core::Router
 //! [`SessionPool::poll_acquire`]: mvcc_core::SessionPool::poll_acquire
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod conn;
 pub mod executor;
 pub mod proto;
+#[allow(unsafe_code)]
+pub mod readiness;
 pub mod server;
 
 pub use client::{Client, ClientError};

@@ -1,30 +1,54 @@
-//! The server: one nonblocking poll loop multiplexing every client
-//! connection onto a [`Router`]'s `N×P` pids through async session
-//! admission.
+//! The server: one poll loop multiplexing every client connection onto
+//! a [`Router`]'s `N×P` pids through async session admission.
 //!
 //! No thread is ever parked per waiter. A connection whose request
 //! cannot lease a pid holds an `AcquireFuture` parked in the shard's
 //! FIFO ticket queue; the session release that frees a pid wakes
 //! exactly that future (through the connection's waker, see
-//! [`crate::executor`]), and the loop re-polls it on the next
-//! iteration. Thousands of connections therefore cost a queue entry
-//! and a buffer each — not a stack — which is the whole point of the
-//! async admission layer.
+//! [`crate::executor`]), and the loop re-polls it on its next sweep.
+//! Thousands of connections therefore cost a queue entry and a buffer
+//! each — not a stack — which is the whole point of the async admission
+//! layer.
 //!
-//! The loop, per iteration:
+//! The loop, per sweep:
 //!
-//! 1. accept new connections (nonblocking);
-//! 2. read every socket, splitting and decoding complete frames;
-//! 3. drain the ready set and re-poll exactly the woken admissions;
-//! 4. admit each connection's next queued request (one in flight per
+//! 1. **wait** for readiness ([`crate::readiness::wait`]) on the wake
+//!    pipe, the listener and every connection that has room to be read
+//!    or output left to write — the only place the loop blocks;
+//! 2. accept new connections, if the listener is ready;
+//! 3. read the ready sockets, splitting and decoding complete frames;
+//! 4. drain the ready set and re-poll exactly the woken admissions;
+//! 5. admit each connection's next queued request (one in flight per
 //!    connection — responses stay in request order);
-//! 5. flush response bytes, reap finished connections;
-//! 6. every maintenance tick (~1ms), re-poll deadline-expired
+//! 6. flush staged response bytes, reap finished connections;
+//! 7. every maintenance tick (~1ms), re-poll deadline-expired
 //!    admissions, reap idle connections, sample queue-depth gauges,
 //!    sweep expired session leases, and drive the installed
-//!    durability-maintenance hook ([`Server::set_maintenance`]);
-//! 7. if nothing moved and nothing is woken, sleep until the nearest
-//!    pending deadline (capped at the idle-sleep floor, ~50µs).
+//!    durability-maintenance hook ([`Server::set_maintenance`]).
+//!
+//! # Where the loop blocks, and what wakes it
+//!
+//! Step 1 first looks without blocking. With nothing ready and no
+//! admission woken it blocks until the next tick is due, and four
+//! things end that wait early: a connecting client, bytes (or a
+//! hang-up) on a connection being read, room on a socket with unflushed
+//! output, and a byte on the wake pipe — written by the waker of a
+//! parked admission when a session is released on *another* thread, and
+//! by [`ServerHandle::shutdown`] ([`crate::executor`] has the protocol).
+//! A connection that is back-pressured, or closing with nothing left to
+//! write, is not in the wait set at all: only an admission can move it,
+//! so it cannot make the loop spin. An idle server therefore runs one
+//! sweep per tick; a bare [`Server::run_until`] caller's stop flag is
+//! seen within one.
+//!
+//! With something ready the loop does not block, and left alone it
+//! would run many small sweeps — a handful of requests for a round of
+//! system calls each. So a sweep that finds work less than `SWEEP_PACE`
+//! (40µs) after the previous sweep began naps out the remainder first
+//! and serves what piled up meanwhile as one batch. A request that
+//! arrives while the loop is blocked is never delayed by this.
+//! [`ServerStats`] counts sweeps, blocked waits, paced sweeps and wake-
+//! pipe wakes; requests ÷ sweeps is the batch size.
 //!
 //! Admission order is audited: tickets are drawn in arrival order, so
 //! per shard the granted tickets must be strictly increasing. The
@@ -71,13 +95,23 @@ use mvcc_ftree::U64Map;
 use crate::conn::{Conn, Hangup};
 use crate::executor::{conn_waker, ReadySet};
 use crate::proto::{ErrorCode, Request, Response, TxnOp};
+use crate::readiness::{self, PollFd};
 
-/// Sleep when an iteration moves nothing and no admission is woken —
-/// the idle latency floor. Small enough to stay invisible next to
-/// loopback RTT, large enough not to spin a core on an idle server.
-/// A pending request deadline sooner than this shortens the sleep
-/// (the loop wakes on the nearest deadline, not a fixed timeout).
-const IDLE_SLEEP: Duration = Duration::from_micros(50);
+/// The least time between the starts of two sweeps that both found work
+/// without blocking: the second naps out the remainder, so a loaded
+/// server serves a batch per round of system calls instead of a request
+/// or two. Never added to a request that arrives while the loop is
+/// blocked.
+const SWEEP_PACE: Duration = Duration::from_micros(40);
+
+/// Timer slack of the loop thread while it runs: the kernel's default
+/// (50µs) would more than double every [`SWEEP_PACE`] nap.
+const TIMER_SLACK: Duration = Duration::from_micros(1);
+
+/// Fixed entries of the loop's wait set; connections follow.
+const WAKE_PIPE: usize = 0;
+const LISTENER: usize = 1;
+const FIRST_CONN: usize = 2;
 
 /// Coarse maintenance-tick period: deadline re-polls, idle reaping,
 /// gauge sampling and lease sweeps happen at this granularity — one
@@ -120,6 +154,21 @@ pub struct ServerStats {
     /// Whether the last maintenance hook invocation reported
     /// [`Health::Degraded`] — reclamation is stalled, commits are not.
     pub maintenance_degraded: bool,
+    /// Sweeps of the poll loop; [`ServerStats::requests`] over this is
+    /// the mean batch a sweep serves.
+    pub sweeps: u64,
+    /// Sweeps whose readiness wait found nothing to do and blocked (on
+    /// an idle server: all of them, one per tick).
+    pub blocked_waits: u64,
+    /// Sweeps that found work too soon after the previous one and
+    /// napped first, to batch.
+    pub paced_sweeps: u64,
+    /// Waits ended by the wake pipe: a session released on another
+    /// thread woke a parked admission, or a shutdown.
+    pub wake_fd_wakes: u64,
+    /// Failed `accept` calls (aborted handshakes, a full descriptor
+    /// table); the loop keeps serving and accepts again next tick.
+    pub accept_errors: u64,
 }
 
 /// Overload-protection knobs for a [`Server`]. The default is fully
@@ -177,6 +226,13 @@ pub struct Server {
     reaped_idle: AtomicU64,
     max_queue_depth: AtomicU64,
     maintenance_ticks: AtomicU64,
+    sweeps: AtomicU64,
+    blocked_waits: AtomicU64,
+    paced_sweeps: AtomicU64,
+    wake_fd_wakes: AtomicU64,
+    accept_errors: AtomicU64,
+    /// Woken admissions, and the wake pipe that ends the loop's wait.
+    ready: Arc<ReadySet>,
     /// Durability-maintenance hook driven by the loop's tick, plus the
     /// health its last invocation reported (see
     /// [`Server::set_maintenance`]).
@@ -249,6 +305,12 @@ impl Server {
             reaped_idle: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
             maintenance_ticks: AtomicU64::new(0),
+            sweeps: AtomicU64::new(0),
+            blocked_waits: AtomicU64::new(0),
+            paced_sweeps: AtomicU64::new(0),
+            wake_fd_wakes: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            ready: ReadySet::new()?,
             maintenance: Mutex::new(None),
             maintenance_health: Mutex::new(None),
             wait_samples: Mutex::new(Vec::new()),
@@ -314,6 +376,11 @@ impl Server {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             maintenance_ticks: self.maintenance_ticks.load(Ordering::Relaxed),
             maintenance_degraded: self.maintenance_health().is_some_and(|h| h.is_degraded()),
+            sweeps: self.sweeps.load(Ordering::Relaxed),
+            blocked_waits: self.blocked_waits.load(Ordering::Relaxed),
+            paced_sweeps: self.paced_sweeps.load(Ordering::Relaxed),
+            wake_fd_wakes: self.wake_fd_wakes.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -344,24 +411,64 @@ impl Server {
         std::mem::take(&mut *self.wait_samples.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Run the poll loop until `stop` turns true (checked every
-    /// iteration; shutdown latency is one iteration plus the idle
-    /// sleep, i.e. well under a millisecond).
+    /// Run the poll loop until `stop` turns true. The flag is checked
+    /// every sweep and an idle loop sweeps once per tick, so shutdown
+    /// latency is about a millisecond ([`ServerHandle::shutdown`] also
+    /// wakes the loop and is seen at once). One thread at a time.
     pub fn run_until(&self, stop: &AtomicBool) -> io::Result<()> {
         let router = &*self.router;
-        let ready = ReadySet::new();
+        let ready = &self.ready;
+        let _precise_naps = readiness::timer_slack(TIMER_SLACK);
         let mut slots: Vec<Option<Slot>> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
         let mut woken: Vec<usize> = Vec::new();
+        // The wait set, and the slot behind each of its connections.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut polled: Vec<usize> = Vec::new();
         // Per-shard FIFO audit trail: the last granted ticket.
         let mut last_ticket: Vec<Option<u64>> = vec![None; router.shards()];
         let mut next_tick = Instant::now() + TICK;
+        let mut sweep_began = Instant::now();
+        // After a failed accept the listener stays out of the wait set
+        // until the next tick: its readiness is level-triggered, and a
+        // full descriptor table would otherwise spin the loop.
+        let mut accept_muted = false;
 
         while !stop.load(Ordering::Relaxed) {
-            let mut progress = false;
+            self.sweeps.fetch_add(1, Ordering::Relaxed);
 
-            // 1. Accept.
-            loop {
+            // 1. Wait: look, and block only if there is nothing to do.
+            fds.clear();
+            polled.clear();
+            fds.push(PollFd::new(ready.pipe(), true, false));
+            fds.push(PollFd::new(&self.listener, !accept_muted, false));
+            for (id, slot) in slots.iter().enumerate() {
+                if let Some(fd) = slot.as_ref().and_then(|slot| slot.conn.interest()) {
+                    fds.push(fd);
+                    polled.push(id);
+                }
+            }
+            let now = Instant::now();
+            if readiness::wait(&mut fds, Duration::ZERO)? == 0 && ready.park() {
+                let blocked = readiness::wait(&mut fds, next_tick.saturating_duration_since(now));
+                ready.unpark();
+                blocked?;
+                self.blocked_waits.fetch_add(1, Ordering::Relaxed);
+            } else if let Some(early) = SWEEP_PACE.checked_sub(now.duration_since(sweep_began)) {
+                // Work, and hard on the heels of the last sweep: let a
+                // batch pile up, then look again.
+                std::thread::sleep(early);
+                self.paced_sweeps.fetch_add(1, Ordering::Relaxed);
+                readiness::wait(&mut fds, Duration::ZERO)?;
+            }
+            sweep_began = Instant::now();
+            if fds[WAKE_PIPE].readable() {
+                ready.pipe().drain();
+                self.wake_fd_wakes.fetch_add(1, Ordering::Relaxed);
+            }
+
+            // 2. Accept.
+            while !accept_muted && fds[LISTENER].readable() {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
                         let Ok(conn) = Conn::new(stream) else {
@@ -371,53 +478,56 @@ impl Server {
                             slots.push(None);
                             slots.len() - 1
                         });
-                        let waker = conn_waker(&ready, id);
+                        let waker = conn_waker(ready, id);
                         slots[id] = Some(Slot {
                             conn,
                             pending: None,
                             waker,
-                            last_activity: Instant::now(),
+                            last_activity: sweep_began,
                         });
                         self.connections.fetch_add(1, Ordering::Relaxed);
-                        progress = true;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
+                    // Transient (the peer aborted, the descriptor table
+                    // is full): the connections already here are served.
+                    Err(_) => {
+                        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        accept_muted = true;
+                    }
                 }
             }
 
-            // 2. Read and parse every socket.
-            for slot in slots.iter_mut().flatten() {
-                if slot.conn.fill() {
-                    slot.last_activity = Instant::now();
-                    progress = true;
+            // 3. Read and parse the ready sockets.
+            for (fd, &id) in fds[FIRST_CONN..].iter().zip(&polled) {
+                let slot = slots[id].as_mut().expect("in the wait set this sweep");
+                if fd.readable() && slot.conn.fill() {
+                    slot.last_activity = sweep_began;
                 }
             }
 
-            // 3. Re-poll exactly the woken admissions.
+            // 4. Re-poll exactly the woken admissions.
             ready.drain_into(&mut woken);
             for &id in &woken {
                 if let Some(slot) = slots.get_mut(id).and_then(Option::as_mut) {
-                    progress |= self.drive(router, slot, &mut last_ticket);
+                    self.drive(router, slot, &mut last_ticket);
                 }
             }
 
-            // 4. Admit next requests on connections with no admission in
+            // 5. Admit next requests on connections with no admission in
             //    flight (drive() loops on to the pipeline's next request
             //    after each grant, so this also covers fresh arrivals).
             for slot in slots.iter_mut().flatten() {
                 if slot.pending.is_none() && slot.conn.parsed_backlog() > 0 {
-                    progress |= self.drive(router, slot, &mut last_ticket);
+                    self.drive(router, slot, &mut last_ticket);
                 }
             }
 
-            // 5. Flush, then reap finished connections.
+            // 6. Flush what is staged, then reap finished connections.
             for (id, entry) in slots.iter_mut().enumerate() {
                 let Some(slot) = entry.as_mut() else { continue };
-                if slot.conn.flush() {
-                    slot.last_activity = Instant::now();
-                    progress = true;
+                if !slot.conn.flushed() && slot.conn.flush() {
+                    slot.last_activity = sweep_began;
                 }
                 let reap = match slot.conn.hangup() {
                     // Protocol violation: close once the typed farewell
@@ -443,31 +553,15 @@ impl Server {
                     // wake — a dying connection cannot stall the queue.
                     *entry = None;
                     free.push(id);
-                    progress = true;
                 }
             }
 
-            // 6. Coarse maintenance tick.
+            // 7. Coarse maintenance tick.
             let now = Instant::now();
             if now >= next_tick {
-                progress |= self.tick(router, &mut slots, &mut free, &mut last_ticket, now);
+                self.tick(router, &mut slots, &mut free, &mut last_ticket, now);
                 next_tick = now + TICK;
-            }
-
-            // 7. Idle? Sleep until the nearest pending deadline, capped
-            //    at the idle floor — a request about to expire is not
-            //    kept waiting for a full IDLE_SLEEP.
-            if !progress && ready.is_empty() {
-                let mut sleep = IDLE_SLEEP;
-                let now = Instant::now();
-                for slot in slots.iter().flatten() {
-                    if let Some(d) = slot.pending.as_ref().and_then(|a| a.state.deadline()) {
-                        sleep = sleep.min(d.saturating_duration_since(now));
-                    }
-                }
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
+                accept_muted = false;
             }
         }
         Ok(())
@@ -493,8 +587,7 @@ impl Server {
         free: &mut Vec<usize>,
         last_ticket: &mut [Option<u64>],
         now: Instant,
-    ) -> bool {
-        let mut progress = false;
+    ) {
         for (id, entry) in slots.iter_mut().enumerate() {
             let Some(slot) = entry.as_mut() else { continue };
             // Deadline-expired admissions: poll observes the expiry and
@@ -505,7 +598,7 @@ impl Server {
                 .and_then(|a| a.state.deadline())
                 .is_some_and(|d| now >= d);
             if expired {
-                progress |= self.drive(router, slot, last_ticket);
+                self.drive(router, slot, last_ticket);
             }
             // Idle reaper.
             if let Some(idle) = self.config.idle_timeout {
@@ -517,7 +610,6 @@ impl Server {
                     *entry = None;
                     free.push(id);
                     self.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
                 }
             }
         }
@@ -541,7 +633,6 @@ impl Server {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()) = Some(health);
         }
-        progress
     }
 
     /// Update the queue-depth high-water gauge.
@@ -565,14 +656,8 @@ impl Server {
 
     /// Drive one connection: poll its pending admission and, after each
     /// grant, admit the pipeline's next request — until something parks
-    /// or the backlog empties. Returns whether anything moved.
-    fn drive(
-        &self,
-        router: &Router<U64Map>,
-        slot: &mut Slot,
-        last_ticket: &mut [Option<u64>],
-    ) -> bool {
-        let mut progress = false;
+    /// or the backlog empties.
+    fn drive(&self, router: &Router<U64Map>, slot: &mut Slot, last_ticket: &mut [Option<u64>]) {
         loop {
             if slot.pending.is_none() {
                 let Some(req) = slot.conn.pop_request() else {
@@ -582,7 +667,6 @@ impl Server {
                     Classified::Immediate(resp) => {
                         slot.conn.push_response(&resp);
                         self.requests.fetch_add(1, Ordering::Relaxed);
-                        progress = true;
                         continue;
                     }
                     Classified::Admit(shard) => {
@@ -596,7 +680,6 @@ impl Server {
                                 .push_response(&self.overloaded("admission queue at depth limit"));
                             self.shed.fetch_add(1, Ordering::Relaxed);
                             self.requests.fetch_add(1, Ordering::Relaxed);
-                            progress = true;
                             continue;
                         }
                         let state = match self.config.request_deadline {
@@ -627,7 +710,6 @@ impl Server {
                     drop(session);
                     slot.conn.push_response(&resp);
                     self.requests.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
                 }
                 Poll::Ready(Err(_expired)) => {
                     // Deadline passed while queued: the ticket already
@@ -638,12 +720,10 @@ impl Server {
                         .push_response(&self.overloaded("request deadline passed in queue"));
                     self.deadline_expired.fetch_add(1, Ordering::Relaxed);
                     self.requests.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
                 }
                 Poll::Pending => break,
             }
         }
-        progress
     }
 
     /// Granted tickets are drawn in arrival order, so per shard they
@@ -760,9 +840,16 @@ impl ServerHandle {
         &self.server
     }
 
+    /// Raise the stop flag, then end the loop's wait so it is read now
+    /// and not at the next tick.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.server.ready.pipe().wake();
+    }
+
     /// Stop the loop and join its thread, returning the loop's exit.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop();
         match self.thread.take() {
             Some(t) => t.join().expect("server loop panicked"),
             None => Ok(()),
@@ -772,7 +859,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

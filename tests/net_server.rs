@@ -632,3 +632,230 @@ fn server_tick_drives_maintenance_hook_and_reports_health() {
     assert!(stats.maintenance_degraded);
     assert_eq!(router.sessions_leased(), 0, "no pids leaked");
 }
+
+/// The readiness wait: where the loop blocks and what wakes it, read off
+/// the poll-loop counters in `ServerStats` rather than off the clock.
+/// Linux only: elsewhere `readiness::wait` cannot block and the loop
+/// degrades to a paced scan, which none of these bounds describe.
+#[cfg(target_os = "linux")]
+mod readiness_wait {
+    use super::*;
+
+    /// Spin (1ms naps, 10s cap) until `cond` holds: waits for a *state* the
+    /// server reaches on its own thread, never for a duration.
+    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// An idle server with a connected, silent client blocks in its wait and
+    /// sweeps once per tick: its CPU bill does not depend on how long
+    /// nothing happens at a finer grain than that.
+    #[test]
+    fn an_idle_server_blocks_and_sweeps_once_per_tick() {
+        let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 1));
+        let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.put(1, 10).unwrap(); // accepted, served, and now silent
+
+        let before = handle.server().stats();
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_millis(200));
+        let after = handle.server().stats();
+        let ticks = t0.elapsed().as_millis() as u64 + 1;
+
+        let sweeps = after.sweeps - before.sweeps;
+        let blocked = after.blocked_waits - before.blocked_waits;
+        assert!(
+            sweeps <= ticks + 8,
+            "{sweeps} sweeps in {ticks} ticks: the idle loop is not blocking"
+        );
+        assert!(sweeps >= 10, "the tick still runs ({sweeps} sweeps)");
+        assert!(
+            blocked + 8 >= sweeps,
+            "every idle sweep blocks: {blocked} blocked waits, {sweeps} sweeps"
+        );
+        assert_eq!(after.requests, before.requests);
+
+        drop(client);
+        handle.shutdown().unwrap();
+    }
+
+    /// A session released on *another* thread must end the loop's blocking
+    /// wait: the waker of the parked admission finds the loop parked and
+    /// writes the wake pipe. Without that byte the reply would still come —
+    /// at the next tick — so the evidence is `wake_fd_wakes`, not the clock.
+    /// (A release that lands in the few µs of a tick's own sweep finds the
+    /// loop awake and rightly writes nothing; hence several rounds.)
+    #[test]
+    fn a_release_on_another_thread_wakes_the_blocked_loop_through_the_pipe() {
+        const PIDS: usize = 2;
+        const ROUNDS: u64 = 10;
+        let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, PIDS));
+        router.session(&7u64).insert(7, 70);
+        let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let pool = router.with_shard(0).pool();
+
+        let before = handle.server().stats();
+        for round in 0..ROUNDS {
+            // Hold every pid of the shard in-process: the GET must park.
+            let campers: Vec<_> = (0..PIDS).map(|_| router.session(&7u64)).collect();
+            client.send(&Request::Get { key: 7 }).unwrap();
+            wait_for("the GET to park", || pool.waiters() == 1);
+            drop(campers); // this thread, not the loop's, releases the pids
+            assert_eq!(
+                client.recv().unwrap(),
+                Response::Value { value: Some(70) },
+                "round {round}"
+            );
+        }
+        let after = handle.server().stats();
+        assert!(
+            after.wake_fd_wakes > before.wake_fd_wakes,
+            "{ROUNDS} cross-thread releases and the wake pipe never ended a wait"
+        );
+        assert!(
+            after.wake_fd_wakes - before.wake_fd_wakes <= ROUNDS,
+            "one byte per wake at most"
+        );
+
+        drop(client);
+        handle.shutdown().unwrap();
+        assert_eq!(router.sessions_leased(), 0);
+    }
+
+    /// A back-pressured connection is not in the wait set: a client that
+    /// pipelines far past the parsed-backlog budget while every pid is held
+    /// leaves bytes in its socket, the socket stays readable, and the loop
+    /// must *not* spin on it. Once the pid is released everything is
+    /// answered, in order.
+    #[test]
+    fn a_back_pressured_connection_does_not_spin_the_loop() {
+        const PAIRS: u64 = 1000; // 2000 requests against a budget of 64
+        let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 1));
+        let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let pool = router.with_shard(0).pool();
+
+        let camper = router.session(&0u64);
+        client.send(&Request::Put { key: 0, value: 1 }).unwrap();
+        wait_for("the first PUT to park", || pool.waiters() == 1);
+        // Two bursts with a pause between them: the loop reads the first,
+        // which alone overruns the budget, so the second stays in the socket.
+        for burst in [1..=PAIRS / 10, PAIRS / 10 + 1..=PAIRS] {
+            for k in burst {
+                client.send(&Request::Put { key: k, value: k }).unwrap();
+                client.send(&Request::Get { key: k }).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        let before = handle.server().stats();
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_millis(100));
+        let after = handle.server().stats();
+        let ticks = t0.elapsed().as_millis() as u64 + 1;
+        assert!(
+            after.sweeps - before.sweeps <= ticks + 8,
+            "{} sweeps in {ticks} ticks while nothing could move",
+            after.sweeps - before.sweeps
+        );
+        assert_eq!(after.requests, before.requests, "the pid is still held");
+
+        drop(camper);
+        assert_eq!(client.recv().unwrap(), Response::Done);
+        for k in 1..=PAIRS {
+            assert_eq!(client.recv().unwrap(), Response::Done, "put {k}");
+            assert_eq!(
+                client.recv().unwrap(),
+                Response::Value { value: Some(k) },
+                "get {k} out of order"
+            );
+        }
+
+        drop(client);
+        let stats = handle.server().stats();
+        handle.shutdown().unwrap();
+        assert_eq!(stats.fifo_violations, 0);
+        assert_eq!(router.sessions_leased(), 0);
+    }
+
+    /// Shutting down an idle (blocked) server does not wait for anything.
+    #[test]
+    fn shutdown_of_an_idle_server_is_prompt() {
+        let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 1));
+        let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let client = Client::connect(handle.addr()).unwrap();
+        wait_for("the loop to block", || {
+            let s = handle.server().stats();
+            s.connections == 1 && s.blocked_waits >= 2
+        });
+        let t0 = Instant::now();
+        handle.shutdown().unwrap();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(20), "shutdown took {took:?}");
+        drop(client);
+    }
+
+    /// A peer that pipelines a burst and then half-closes (FIN, read side
+    /// still open) gets every reply before the server closes its side: the
+    /// hang-up reaches `fill` as a readable socket, and requests already
+    /// parsed — some still behind a held pid — are not dropped with it.
+    #[test]
+    fn a_half_closed_peer_is_served_to_the_end_of_its_pipeline() {
+        use multiversion::net::proto;
+        use std::io::{Read, Write};
+
+        // Under the parsed-backlog budget: the connection is still being
+        // read when the FIN arrives.
+        const N: u64 = 40;
+        let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 1));
+        let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let pool = router.with_shard(0).pool();
+
+        let camper = router.session(&0u64);
+        let mut peer = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let mut burst = Vec::new();
+        for k in 0..N {
+            proto::encode_request(
+                &Request::Put {
+                    key: k,
+                    value: k + 1,
+                },
+                &mut burst,
+            );
+        }
+        peer.write_all(&burst).unwrap();
+        wait_for("the burst to park", || pool.waiters() == 1);
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        // The EOF is read while the pipeline is still parked behind the pid.
+        std::thread::sleep(Duration::from_millis(5));
+        drop(camper);
+
+        let mut replies = Vec::new();
+        peer.read_to_end(&mut replies).unwrap(); // ends when the server closes
+        let mut rest = &replies[..];
+        for k in 0..N {
+            let (payload, used) = proto::split_frame(rest).unwrap().expect("a whole frame");
+            assert_eq!(
+                proto::decode_response(payload).unwrap(),
+                Response::Done,
+                "put {k}"
+            );
+            rest = &rest[used..];
+        }
+        assert!(rest.is_empty(), "nothing after the last reply");
+
+        let mut check = Client::connect(handle.addr()).unwrap();
+        assert_eq!(check.get(N - 1).unwrap(), Some(N));
+        drop(check);
+        let stats = handle.server().stats();
+        handle.shutdown().unwrap();
+        assert_eq!(stats.proto_errors, 0);
+        assert_eq!(router.sessions_leased(), 0);
+    }
+}
