@@ -97,11 +97,17 @@ pub enum Durability {
 ///   multi-writer throughput.
 /// * [`Leader`](GroupCommit::Leader) — commits *enqueue* their batch on
 ///   the WAL's group tail inside the critical section and wait for
-///   durability outside it. The first waiter to find no flush in
-///   progress elects itself leader and flushes the whole pending group
-///   (one append, one fsync); commits that arrive during that flush form
-///   the next group. Coalescing is driven purely by overlap — a lone
-///   writer degenerates to one fsync per commit, same as `Serial`.
+///   durability outside it. Each commit announces itself on the WAL
+///   before it queues for the commit lock. The first waiter to find no
+///   flush in progress elects itself leader; if committers are on their
+///   way — announced, or expected because fewer commits are pending than
+///   the last group held — it holds until they have enqueued, but never
+///   longer than one mean flush time, and then flushes the whole pending
+///   group (one append, one fsync); commits that arrive during that
+///   flush form the next group. So two writers that take turns at the
+///   lock share one fsync instead of alternating, and a lone writer
+///   (nobody announced, groups of one) never holds: one fsync per
+///   commit, same as `Serial`.
 /// * [`Flusher`](GroupCommit::Flusher) — a dedicated background thread
 ///   flushes the group tail after waiting up to `max_coalesce` for more
 ///   commits to accumulate; committers wait passively. Trades up to
@@ -118,7 +124,8 @@ pub enum Durability {
 pub enum GroupCommit {
     /// One frame + one fsync per commit, inside the commit lock.
     Serial,
-    /// First durability waiter flushes the whole pending group.
+    /// First durability waiter holds for committers on their way, then
+    /// flushes the whole pending group.
     Leader,
     /// A dedicated thread flushes after a bounded coalescing wait.
     Flusher {
@@ -318,6 +325,12 @@ pub struct DurableStats {
     /// Total wall-clock nanoseconds commits spent blocked at the
     /// watermark.
     pub blocked_ns: u64,
+    /// Flushes a [`GroupCommit::Leader`] leader delayed for committers
+    /// on their way: announced before the commit lock, or expected from
+    /// the size of the last group.
+    pub holds: u64,
+    /// Total wall-clock nanoseconds leaders spent holding.
+    pub hold_ns: u64,
     /// Commits enqueued on the group tail but not yet flushed (a racy
     /// snapshot).
     pub pending_batches: u64,
@@ -964,6 +977,8 @@ impl<P: TreeParams, M: VersionMaintenance> DurableDatabase<P, M> {
                     slo_misses: g.slo_misses,
                     blocked_enqueues: g.blocked_enqueues,
                     blocked_ns: g.blocked_ns,
+                    holds: g.holds,
+                    hold_ns: g.hold_ns,
                     pending_batches: wal.pending_batches() as u64,
                 }
             }
@@ -1431,7 +1446,12 @@ where
             // Durability::Off: the unmodified in-memory commit path.
             return Ok((self.inner.write(f), CommitAck::immediate(None)));
         };
-        let grouped = !matches!(dd.group, GroupCommit::Serial);
+        // A grouped commit announces itself before it queues for the
+        // commit lock, so a leader about to flush can hold for it.
+        let intent = match dd.group {
+            GroupCommit::Serial => None,
+            _ => Some(wal.announce()),
+        };
 
         // Serialize durable writers: commit_ts assignment, WAL publish
         // and `set` form one critical section, so the log order is the
@@ -1454,10 +1474,9 @@ where
             // rolls its frame back; a refused enqueue never queued), so
             // there is nothing the next recovery would replay as acked
             // and `commit_ts` is safe to reuse.
-            if grouped {
-                seq = Some(wal.enqueue(&batch)?);
-            } else {
-                wal.append(&batch)?;
+            match intent {
+                Some(intent) => seq = Some(intent.enqueue(&batch)?),
+                None => wal.append(&batch)?,
             }
             // The batch is in the log; its identifiers are spent even if
             // the `set` loses to a contract-violating raw writer.
@@ -1807,6 +1826,55 @@ mod tests {
         let db = open(&storage, Durability::Always);
         assert_eq!(db.recovery().replayed, 100);
         assert_eq!(db.session().unwrap().len(), 100);
+    }
+
+    #[test]
+    fn two_leader_writers_share_fsyncs_over_a_slow_disk() {
+        // A leader holds its flush for the other writer, which announced
+        // itself before queueing for the commit lock: the two share one
+        // fsync instead of strictly alternating.
+        let storage = FaultStorage::new(
+            mvcc_wal::FaultPlan {
+                sync_latency: Duration::from_millis(2),
+                ..mvcc_wal::FaultPlan::default()
+            },
+            7,
+        );
+        let cfg = DurableConfig::default().with_group_commit(GroupCommit::Leader);
+        let mut model = std::collections::BTreeMap::new();
+        {
+            let db: DurableDatabase<U64Map> =
+                DurableDatabase::recover_storage(Arc::new(storage.clone()), 2, cfg.clone())
+                    .unwrap();
+            let db = &db;
+            std::thread::scope(|scope| {
+                for t in 0..2u64 {
+                    scope.spawn(move || {
+                        let mut s = db.session().unwrap();
+                        for i in 0..300u64 {
+                            s.write(|txn| txn.insert(t * 1000 + i % 50, i)).unwrap();
+                        }
+                    });
+                }
+            });
+            for t in 0..2u64 {
+                for i in 250..300u64 {
+                    model.insert(t * 1000 + i % 50, i);
+                }
+            }
+            let stats = db.durable_stats();
+            assert_eq!(stats.batches_flushed, 600);
+            assert!(
+                stats.mean_group() >= 1.6,
+                "writers alternated instead of grouping: {stats:?}"
+            );
+            assert!(stats.holds > 0, "{stats:?}");
+        }
+        let db: DurableDatabase<U64Map> =
+            DurableDatabase::recover_storage(Arc::new(storage.crash_view()), 2, cfg).unwrap();
+        assert_eq!(db.recovery().replayed, 600);
+        let contents: Vec<(u64, u64)> = db.session().unwrap().read(|s| s.to_vec());
+        assert_eq!(contents, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

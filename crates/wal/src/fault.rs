@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::Storage;
 
@@ -70,6 +71,10 @@ pub struct FaultPlan {
     /// persistently broken checkpoint path: commits must keep flowing
     /// while maintenance degrades to a typed health state.
     pub fail_checkpoint_writes: bool,
+    /// Every successful `sync` takes at least this long (slept outside
+    /// the storage lock): a slow disk, so concurrent committers overlap
+    /// a flush the way they do on real hardware.
+    pub sync_latency: Duration,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -294,13 +299,16 @@ impl Storage for FaultStorage {
             inner.crashed = true;
             return Err(crashed_err());
         }
+        let latency = inner.plan.sync_latency;
         match inner.files.get_mut(name) {
-            Some(f) => {
-                f.synced = f.data.len();
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, name.to_string())),
+            Some(f) => f.synced = f.data.len(),
+            None => return Err(io::Error::new(io::ErrorKind::NotFound, name.to_string())),
         }
+        drop(inner);
+        if !latency.is_zero() {
+            std::thread::sleep(latency);
+        }
+        Ok(())
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {

@@ -10,12 +10,15 @@
 //!   (`wal-{seq:08}.seg`, rolled at a size threshold) of CRC-guarded,
 //!   length-prefixed frames. Two append paths share the segments:
 //!   [`Wal::append`] writes one record per frame and fsyncs per the
-//!   [`FsyncPolicy`] (the *serial* path), while [`Wal::enqueue`] +
-//!   [`Wal::wait_durable`] stage records on a commit-ordered **group
-//!   tail** that a leader — the first durability waiter, or a dedicated
-//!   flusher thread — drains into one multi-record frame and a single
-//!   fsync (the *group-commit* path; see [`GroupStats`] for how well it
-//!   coalesces). Appends retry transient I/O errors with exponential
+//!   [`FsyncPolicy`] (the *serial* path), while [`Wal::announce`] +
+//!   [`CommitIntent::enqueue`] + [`Wal::wait_durable`] stage records on
+//!   a commit-ordered **group tail** that a leader — the first
+//!   durability waiter, or a dedicated flusher thread — drains into one
+//!   multi-record frame and a single fsync (the *group-commit* path; see
+//!   [`GroupStats`] for how well it coalesces). A waiting leader holds
+//!   its flush, at most one mean flush time, for committers on their
+//!   way: announced and not yet enqueued, or expected from the size of
+//!   the last group. Appends retry transient I/O errors with exponential
 //!   backoff before surfacing a typed [`WalError`].
 //! * **Snapshot checkpoints** ([`checkpoint`]) — a full key/value image
 //!   at one `commit_ts`, written to a temporary name, CRC-sealed, then
@@ -88,7 +91,7 @@ mod storage;
 pub use codec::WalCodec;
 pub use fault::{FaultPlan, FaultStorage};
 pub use frame::{crc32, WalBatch, WalOp, GROUP_TAG};
-pub use log::{is_segment_name, GroupStats, Replay, TornTail, Wal};
+pub use log::{is_segment_name, CommitIntent, GroupStats, Replay, TornTail, Wal};
 pub use storage::{DirStorage, Storage};
 
 use std::time::Duration;
@@ -145,8 +148,9 @@ pub struct WalConfig {
     /// Transient-error retry policy for appends.
     pub retry: RetryPolicy,
     /// High watermark on the group-commit tail, in pending records
-    /// (0 = unbounded). [`Wal::enqueue`] past it blocks — leading a
-    /// flush itself if none is in progress — and [`Wal::try_enqueue`]
+    /// (0 = unbounded). [`CommitIntent::enqueue`] past it blocks —
+    /// leading a flush itself if none is in progress — and
+    /// [`CommitIntent::try_enqueue`]
     /// returns [`WalError::Backpressure`], so the tail can never outrun
     /// the disk without bound.
     pub max_pending_batches: usize,
@@ -209,7 +213,7 @@ pub enum WalError {
     /// The group-commit tail is at its configured watermark
     /// ([`WalConfig::max_pending_batches`] /
     /// [`WalConfig::max_pending_bytes`]) and the caller asked not to
-    /// block ([`Wal::try_enqueue`]). Nothing was enqueued; retry after a
+    /// block ([`CommitIntent::try_enqueue`]). Nothing was enqueued; retry after a
     /// flush drains the tail.
     Backpressure,
 }

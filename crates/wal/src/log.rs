@@ -13,16 +13,22 @@
 //!
 //! * [`Wal::append`] — the serial path: one frame, fsynced per policy,
 //!   durable (or rolled back) by the time the call returns.
-//! * [`Wal::enqueue`] + [`Wal::wait_durable`] — the group-commit path:
-//!   `enqueue` encodes the batch onto an in-memory pending tail (the
-//!   commit-ordered record queue) and returns a sequence number;
-//!   `wait_durable` blocks until a *flush* — one storage append of the
-//!   whole pending group as multi-record frames, one fsync — covers that
-//!   sequence. The first waiter to find no flush in progress elects
-//!   itself leader and performs the flush while later enqueuers keep
-//!   adding to the next group; everyone else waits on a condvar and is
-//!   woken with the result. [`Wal::flush_pending`] drives the same flush
-//!   explicitly (the dedicated-flusher policy and `sync`).
+//! * [`Wal::announce`] + [`CommitIntent::enqueue`] + [`Wal::wait_durable`]
+//!   — the group-commit path. A committer *announces* itself before it
+//!   takes its own commit lock; `enqueue` encodes the batch onto an
+//!   in-memory pending tail (the commit-ordered record queue), consumes
+//!   the announcement, and returns a sequence number; `wait_durable`
+//!   blocks until a *flush* — one storage append of the whole pending
+//!   group as multi-record frames, one fsync — covers that sequence. The
+//!   first waiter to find no flush in progress elects itself leader. If
+//!   committers are still on their way — announced and not yet
+//!   enqueued, or expected because the tail is still smaller than the
+//!   last flushed group — it *holds*: it waits until they have enqueued
+//!   (or withdrawn), but never longer than one mean flush time, so the
+//!   hold costs at most the flush it saves. Then it drains the tail and flushes while later enqueuers keep adding to
+//!   the next group; everyone else waits on a condvar and is woken with
+//!   the result. [`Wal::flush_pending`] drives the same flush explicitly
+//!   (the dedicated-flusher policy and `sync`) and never holds.
 //!
 //! The two paths have different failure contracts. A serial append rolls
 //! its frame back on any post-append failure, so `Err` means "the log is
@@ -43,7 +49,7 @@
 //! anywhere) costs the tail, never the log.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -155,6 +161,12 @@ pub struct GroupStats {
     /// Total wall-clock nanoseconds enqueues spent blocked at the
     /// watermark.
     pub blocked_ns: u64,
+    /// Flushes a leader delayed for committers on their way to the tail:
+    /// announced (see [`Wal::announce`]) and not yet enqueued, or
+    /// expected because the tail was smaller than the last group.
+    pub holds: u64,
+    /// Total wall-clock nanoseconds leaders spent holding.
+    pub hold_ns: u64,
 }
 
 impl GroupStats {
@@ -185,6 +197,14 @@ struct GroupState {
     durable: u64,
     /// A leader is currently flushing the previously pending records.
     flushing: bool,
+    /// A would-be leader is holding its flush for committers on their
+    /// way; it leads the next flush, so other would-be leaders wait.
+    holding: bool,
+    /// Records in the last flushed group: how many committers were
+    /// active, so how big the next group can be expected to get. The
+    /// committers it acknowledged race back to the tail, and the first
+    /// one back would otherwise flush before the others even announce.
+    last_group: usize,
     /// Set when a flush failed: its commits were already visible, so the
     /// missing frames cannot be rolled back without creating a replay
     /// gap — all further enqueues and waits get [`WalError::Poisoned`].
@@ -201,8 +221,8 @@ const PASSIVE_RESCUE: Duration = Duration::from_millis(20);
 ///
 /// Thread-safe: appends serialize on an internal mutex (the transactional
 /// layer serializes durable commits anyway; the mutex makes direct use
-/// safe too). The group-commit path ([`Wal::enqueue`] /
-/// [`Wal::wait_durable`]) adds concurrent batch coalescing on top — see
+/// safe too). The group-commit path ([`Wal::announce`] /
+/// [`CommitIntent::enqueue`] / [`Wal::wait_durable`]) adds concurrent batch coalescing on top — see
 /// the module docs for the two paths' contracts.
 pub struct Wal {
     storage: Arc<dyn Storage>,
@@ -210,6 +230,12 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     group: Mutex<GroupState>,
     group_cv: Condvar,
+    /// Outstanding [`CommitIntent`]s. Incremented without a lock;
+    /// decremented only under the group lock, which is what a holding
+    /// leader checks it under. `Relaxed` throughout: it publishes no
+    /// data, and a leader that misses a fresh increment merely skips a
+    /// hold.
+    announced: AtomicUsize,
     /// Disk-footprint red line (see [`Wal::set_redline`]): while set,
     /// the group tail's effective watermark drops to a single pending
     /// record, so committers feel backpressure at disk speed instead of
@@ -342,10 +368,13 @@ impl Wal {
                 enqueued: 0,
                 durable: 0,
                 flushing: false,
+                holding: false,
+                last_group: 0,
                 poisoned: false,
                 stats: GroupStats::default(),
             }),
             group_cv: Condvar::new(),
+            announced: AtomicUsize::new(0),
             redline: AtomicBool::new(false),
         };
         Ok((wal, replay))
@@ -497,8 +526,8 @@ impl Wal {
     /// Is the pending tail at (or past) a configured high watermark?
     /// Under the red line any pending record counts as "at the
     /// watermark", so blocking enqueuers drain the tail themselves (one
-    /// flush per commit — disk speed) and [`Wal::try_enqueue`] reports
-    /// [`WalError::Backpressure`].
+    /// flush per commit — disk speed) and [`CommitIntent::try_enqueue`]
+    /// reports [`WalError::Backpressure`].
     fn over_watermark(&self, g: &GroupState) -> bool {
         let batches = self.cfg.max_pending_batches;
         let bytes = self.cfg.max_pending_bytes;
@@ -511,8 +540,8 @@ impl Wal {
     /// previous state. While engaged, the group-commit tail admits at
     /// most one pending record: every further enqueue blocks behind a
     /// flush (or gets [`WalError::Backpressure`] from
-    /// [`Wal::try_enqueue`]), so commit throughput degrades to disk
-    /// speed instead of outrunning a reclamation path that has stopped
+    /// [`CommitIntent::try_enqueue`]), so commit throughput degrades to
+    /// disk speed instead of outrunning a reclamation path that has stopped
     /// keeping up. The maintenance supervisor engages this when
     /// `wal_bytes` crosses its policy's red-line threshold and clears it
     /// once a checkpoint brings the footprint back down. Durability
@@ -532,22 +561,30 @@ impl Wal {
         self.redline.load(Ordering::Relaxed)
     }
 
-    /// Enqueue one committed batch on the group-commit tail and return
-    /// its sequence number for [`Wal::wait_durable`].
+    /// Announce a committer on its way to the group tail, *before* it
+    /// takes whatever lock orders its commit. The returned
+    /// [`CommitIntent`] is the only door onto the tail: its
+    /// [`enqueue`](CommitIntent::enqueue) /
+    /// [`try_enqueue`](CommitIntent::try_enqueue) consumes the
+    /// announcement under the group lock the enqueue takes anyway, and
+    /// dropping it unconsumed withdraws it.
     ///
-    /// The record enters the commit-ordered pending queue immediately —
-    /// this is the "logged" half of logged-before-visible — but is *not*
-    /// durable until a flush covers it. With the tail under its
-    /// watermark this never blocks on I/O: a flush in progress proceeds
-    /// concurrently, and this record simply joins the next group. At the
-    /// watermark ([`WalConfig::max_pending_batches`] /
-    /// [`WalConfig::max_pending_bytes`]) the call blocks until a flush
-    /// drains the tail — electing itself flush leader if no flush is in
-    /// progress, so a lone committer that never waits its acks still
-    /// makes progress (the bounded queue can never deadlock on a missing
-    /// leader; the flush takes only the group and segment locks, never
-    /// the caller's commit lock).
-    pub fn enqueue(&self, batch: &WalBatch) -> Result<u64, WalError> {
+    /// While announcements are outstanding, a would-be leader in
+    /// [`Wal::wait_durable`] holds its flush — until every announced
+    /// committer has enqueued or withdrawn, or one mean flush time has
+    /// passed — so a committer already in its commit section joins this
+    /// group instead of paying for the next one. (It holds the same way
+    /// while the tail is smaller than the last flushed group: the
+    /// committers that group acknowledged race back, and the first one
+    /// back must not flush before the others have even announced.)
+    pub fn announce(&self) -> CommitIntent<'_> {
+        self.announced.fetch_add(1, Ordering::Relaxed);
+        CommitIntent { wal: self }
+    }
+
+    /// [`CommitIntent::enqueue`]: wait out the watermark (leading a
+    /// flush if none runs), then push.
+    fn enqueue(&self, intent: CommitIntent<'_>, batch: &WalBatch) -> Result<u64, WalError> {
         let mut g = self.group_lock();
         if g.poisoned {
             return Err(WalError::Poisoned);
@@ -565,7 +602,8 @@ impl Wal {
                 }
                 if !g.flushing {
                     // Self-promote: drain the tail ourselves rather than
-                    // waiting for an ack-waiter who may never come.
+                    // waiting for an ack-waiter who may never come. Never
+                    // hold here — our own intent is still outstanding.
                     g = self.lead_flush(g);
                     continue;
                 }
@@ -577,13 +615,11 @@ impl Wal {
             }
             g.stats.blocked_ns += t0.elapsed().as_nanos() as u64;
         }
-        self.push_record(g, batch)
+        Ok(self.push_record(g, intent, batch))
     }
 
-    /// Non-blocking [`Wal::enqueue`]: at the watermark this returns
-    /// [`WalError::Backpressure`] immediately (nothing enqueued, nothing
-    /// blocked) instead of waiting for the flusher to drain the tail.
-    pub fn try_enqueue(&self, batch: &WalBatch) -> Result<u64, WalError> {
+    /// [`CommitIntent::try_enqueue`]: refuse at the watermark.
+    fn try_enqueue(&self, intent: CommitIntent<'_>, batch: &WalBatch) -> Result<u64, WalError> {
         let mut g = self.group_lock();
         if g.poisoned {
             return Err(WalError::Poisoned);
@@ -592,38 +628,44 @@ impl Wal {
             g.stats.blocked_enqueues += 1;
             return Err(WalError::Backpressure);
         }
-        self.push_record(g, batch)
+        Ok(self.push_record(g, intent, batch))
     }
 
     /// The enqueue tail end: encode onto the pending tail (the caller
-    /// has already cleared poisoning and the watermark) and wake the
-    /// flusher.
+    /// has already cleared poisoning and the watermark), consume the
+    /// intent, and wake the flusher — or a leader holding for it.
     fn push_record(
         &self,
         mut g: MutexGuard<'_, GroupState>,
+        intent: CommitIntent<'_>,
         batch: &WalBatch,
-    ) -> Result<u64, WalError> {
+    ) -> u64 {
         batch.encode_record(&mut g.bodies);
         let end = g.bodies.len();
         g.ends.push(end);
         g.last_ts = batch.commit_ts;
         g.enqueued += 1;
         let seq = g.enqueued;
+        self.announced.fetch_sub(1, Ordering::Relaxed);
+        std::mem::forget(intent);
         drop(g);
-        // Wake a dedicated flusher (or passive waiters) parked on the cv.
+        // Wake a dedicated flusher, passive waiters, or a holding leader.
         self.group_cv.notify_all();
-        Ok(seq)
+        seq
     }
 
     /// Block until every record enqueued at or before `seq` is flushed
     /// and fsynced. The first waiter to find no flush in progress elects
-    /// itself **leader** and performs the flush (one multi-record append,
-    /// one fsync) for the whole pending group; the others wait on a
-    /// condvar and wake with the result. `Err(Poisoned)` means a flush
+    /// itself **leader**; if committers are on their way — announced (see
+    /// [`Wal::announce`]), or expected because the tail is smaller than
+    /// the last flushed group — it first holds, at most one mean flush
+    /// time, for them to enqueue, then performs the flush (one multi-record
+    /// append, one fsync) for the whole pending group. The others wait on
+    /// a condvar and wake with the result. `Err(Poisoned)` means a flush
     /// failed after the record was already enqueued — see the module docs
     /// for why that cannot be rolled back.
     pub fn wait_durable(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, true)
+        self.wait_group(seq, true, true)
     }
 
     /// [`Wal::wait_durable`] for committers relying on a dedicated
@@ -632,10 +674,10 @@ impl Wal {
     /// short backstop interval the waiter elects itself leader after all
     /// (a stalled or missing flusher must not deadlock commits).
     pub fn wait_durable_passive(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, false)
+        self.wait_group(seq, false, false)
     }
 
-    fn wait_group(&self, seq: u64, mut may_lead: bool) -> Result<(), WalError> {
+    fn wait_group(&self, seq: u64, mut may_lead: bool, may_hold: bool) -> Result<(), WalError> {
         let mut g = self.group_lock();
         loop {
             if g.durable >= seq {
@@ -644,7 +686,14 @@ impl Wal {
             if g.poisoned {
                 return Err(WalError::Poisoned);
             }
-            if may_lead && !g.flushing {
+            if may_lead && !g.flushing && !g.holding {
+                if may_hold {
+                    g = self.hold(g, seq);
+                    // A blocked enqueue may have self-promoted meanwhile.
+                    if g.flushing || g.durable >= seq || g.poisoned {
+                        continue;
+                    }
+                }
                 g = self.lead_flush(g);
                 continue;
             }
@@ -659,6 +708,44 @@ impl Wal {
         }
     }
 
+    /// Are committers on their way to the tail: announced, or (judging
+    /// by the last group) acknowledged and not yet back?
+    fn on_their_way(&self, g: &GroupState) -> bool {
+        self.announced.load(Ordering::Relaxed) > 0 || g.ends.len() < g.last_group
+    }
+
+    /// A would-be leader's hold: while committers are on their way, wait
+    /// for them to enqueue — until none is left, a flush starts
+    /// elsewhere, or one mean flush time has passed, so holding never
+    /// costs more than the flush it saves. No flush yet means no
+    /// estimate: no hold.
+    fn hold<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, GroupState>,
+        seq: u64,
+    ) -> MutexGuard<'a, GroupState> {
+        if g.stats.groups == 0 || !self.on_their_way(&g) {
+            return g;
+        }
+        let budget = Duration::from_nanos(g.stats.flush_ns / g.stats.groups);
+        let t0 = Instant::now();
+        g.holding = true;
+        while self.on_their_way(&g) && !g.flushing && !g.poisoned && g.durable < seq {
+            let Some(left) = budget.checked_sub(t0.elapsed()) else {
+                break;
+            };
+            g = self
+                .group_cv
+                .wait_timeout(g, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        g.holding = false;
+        g.stats.holds += 1;
+        g.stats.hold_ns += t0.elapsed().as_nanos() as u64;
+        g
+    }
+
     /// Flush every record currently pending on the group tail (leading
     /// the flush, or waiting for an in-progress one that covers them).
     /// Ok and a no-op when nothing is pending.
@@ -670,7 +757,7 @@ impl Wal {
             }
             g.enqueued
         };
-        self.wait_group(target, true)
+        self.wait_group(target, true, false)
     }
 
     /// Records enqueued on the group tail but not yet flushed.
@@ -679,7 +766,7 @@ impl Wal {
     }
 
     /// The highest sequence number covered by a completed group flush
-    /// (compare with the sequence from [`Wal::enqueue`]).
+    /// (compare with the sequence from [`CommitIntent::enqueue`]).
     pub fn durable_seq(&self) -> u64 {
         self.group_lock().durable
     }
@@ -709,6 +796,7 @@ impl Wal {
 
         let mut g = self.group_lock();
         g.flushing = false;
+        g.last_group = ends.len();
         match res {
             Ok(()) => {
                 g.durable = upto;
@@ -823,6 +911,59 @@ impl Wal {
     }
 }
 
+/// A committer's announcement that it is on its way to the group-commit
+/// tail, from [`Wal::announce`]. Enqueueing through it consumes the
+/// announcement; dropping it unconsumed (the commit aborted, or the
+/// enqueue was refused) withdraws it and wakes a leader holding for it.
+#[must_use = "an intent is withdrawn as soon as it is dropped"]
+pub struct CommitIntent<'a> {
+    wal: &'a Wal,
+}
+
+impl CommitIntent<'_> {
+    /// Enqueue one committed batch on the group-commit tail and return
+    /// its sequence number for [`Wal::wait_durable`].
+    ///
+    /// The record enters the commit-ordered pending queue immediately —
+    /// this is the "logged" half of logged-before-visible — but is *not*
+    /// durable until a flush covers it. With the tail under its
+    /// watermark this never blocks on I/O: a flush in progress proceeds
+    /// concurrently, and this record simply joins the next group. At the
+    /// watermark ([`WalConfig::max_pending_batches`] /
+    /// [`WalConfig::max_pending_bytes`]) the call blocks until a flush
+    /// drains the tail — electing itself flush leader if no flush is in
+    /// progress, so a lone committer that never waits its acks still
+    /// makes progress (the bounded queue can never deadlock on a missing
+    /// leader; the flush takes only the group and segment locks, never
+    /// the caller's commit lock).
+    pub fn enqueue(self, batch: &WalBatch) -> Result<u64, WalError> {
+        self.wal.enqueue(self, batch)
+    }
+
+    /// Non-blocking [`CommitIntent::enqueue`]: at the watermark this
+    /// returns [`WalError::Backpressure`] immediately (nothing enqueued,
+    /// nothing blocked, the intent withdrawn) instead of waiting for the
+    /// flusher to drain the tail.
+    pub fn try_enqueue(self, batch: &WalBatch) -> Result<u64, WalError> {
+        self.wal.try_enqueue(self, batch)
+    }
+}
+
+impl Drop for CommitIntent<'_> {
+    fn drop(&mut self) {
+        // Only reached unconsumed (`push_record` forgets the intent).
+        // Withdraw under the group lock so a leader cannot check the
+        // count and then sleep past this wake.
+        let g = self.wal.group_lock();
+        self.wal.announced.fetch_sub(1, Ordering::Relaxed);
+        let holding = g.holding;
+        drop(g);
+        if holding {
+            self.wal.group_cv.notify_all();
+        }
+    }
+}
+
 /// Append with bounded retry and partial-write rollback: transient
 /// failures back off exponentially; before each retry any bytes the
 /// failed attempt landed are truncated away so a retried frame can never
@@ -876,6 +1017,37 @@ mod tests {
 
     fn open_mem(storage: &FaultStorage, cfg: WalConfig) -> (Wal, Replay) {
         Wal::open(Arc::new(storage.clone()), cfg).unwrap()
+    }
+
+    /// A disk whose every fsync takes 2 ms.
+    fn slow_disk() -> FaultStorage {
+        FaultStorage::new(
+            FaultPlan {
+                sync_latency: Duration::from_millis(2),
+                ..FaultPlan::default()
+            },
+            41,
+        )
+    }
+
+    /// A log over [`slow_disk`] with one flush already behind it, so a
+    /// leader has a mean flush time to hold for. Returns that mean.
+    fn open_slow_calibrated(cfg: WalConfig) -> (Wal, Duration) {
+        let (wal, _) = open_mem(&slow_disk(), cfg);
+        let seq = wal.announce().enqueue(&batch(1)).unwrap();
+        wal.wait_durable(seq).unwrap();
+        let g = wal.group_stats();
+        assert_eq!((g.groups, g.holds), (1, 0), "nothing to hold for yet");
+        (wal, Duration::from_nanos(g.flush_ns))
+    }
+
+    /// Block until some leader is holding its flush.
+    fn await_holding(wal: &Wal) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !wal.group_lock().holding {
+            assert!(Instant::now() < deadline, "no leader ever held");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -932,18 +1104,18 @@ mod tests {
         let (wal, _) = open_mem(&storage, cfg);
         assert!(!wal.set_redline(true), "previously off");
         assert!(wal.redline());
-        wal.enqueue(&batch(1)).unwrap(); // an empty tail always admits one
-        let err = wal.try_enqueue(&batch(2)).unwrap_err();
+        wal.announce().enqueue(&batch(1)).unwrap(); // an empty tail always admits one
+        let err = wal.announce().try_enqueue(&batch(2)).unwrap_err();
         assert!(matches!(err, WalError::Backpressure));
         // A blocking enqueue self-promotes to flush leader and proceeds
         // at disk speed rather than deadlocking.
-        let seq = wal.enqueue(&batch(2)).unwrap();
+        let seq = wal.announce().enqueue(&batch(2)).unwrap();
         wal.wait_durable(seq).unwrap();
         assert!(wal.group_stats().blocked_enqueues >= 1);
         // Clearing the red line restores the configured watermark.
         assert!(wal.set_redline(false));
-        wal.enqueue(&batch(3)).unwrap();
-        wal.try_enqueue(&batch(4)).unwrap();
+        wal.announce().enqueue(&batch(3)).unwrap();
+        wal.announce().try_enqueue(&batch(4)).unwrap();
         wal.flush_pending().unwrap();
         assert_eq!(wal.durable_seq(), 4);
     }
@@ -1110,7 +1282,7 @@ mod tests {
         // Enqueue a burst before anyone waits: one flush, one group.
         let mut seqs = Vec::new();
         for ts in 1..=6 {
-            seqs.push(wal.enqueue(&batch(ts)).unwrap());
+            seqs.push(wal.announce().enqueue(&batch(ts)).unwrap());
         }
         assert_eq!(wal.pending_batches(), 6);
         assert_eq!(wal.durable_seq(), 0);
@@ -1122,7 +1294,7 @@ mod tests {
         assert_eq!(stats.batches, 6);
         assert_eq!(stats.max_group, 6);
         // A lone enqueue flushes as an ordinary single-record frame.
-        let s = wal.enqueue(&batch(7)).unwrap();
+        let s = wal.announce().enqueue(&batch(7)).unwrap();
         wal.wait_durable(s).unwrap();
         assert_eq!(wal.group_stats().groups, 2);
         drop(wal);
@@ -1138,7 +1310,7 @@ mod tests {
         let (wal, _) = open_mem(&storage, WalConfig::default());
         let syncs_before = storage.syncs();
         for ts in 1..=8 {
-            wal.enqueue(&batch(ts)).unwrap();
+            wal.announce().enqueue(&batch(ts)).unwrap();
         }
         wal.flush_pending().unwrap();
         assert_eq!(
@@ -1158,7 +1330,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 s.spawn(move || {
                     for i in 0..25u64 {
-                        let seq = wal.enqueue(&batch(t * 1000 + i + 1)).unwrap();
+                        let seq = wal.announce().enqueue(&batch(t * 1000 + i + 1)).unwrap();
                         wal.wait_durable(seq).unwrap();
                     }
                 });
@@ -1183,13 +1355,16 @@ mod tests {
             31,
         );
         let (wal, _) = open_mem(&storage, WalConfig::default());
-        let s1 = wal.enqueue(&batch(1)).unwrap();
-        let s2 = wal.enqueue(&batch(2)).unwrap();
+        let s1 = wal.announce().enqueue(&batch(1)).unwrap();
+        let s2 = wal.announce().enqueue(&batch(2)).unwrap();
         assert!(matches!(wal.wait_durable(s1), Err(WalError::Poisoned)));
         assert!(matches!(wal.wait_durable(s2), Err(WalError::Poisoned)));
         // Everything downstream refuses too: no frame can be buried
         // after the group whose durability was never acknowledged.
-        assert!(matches!(wal.enqueue(&batch(3)), Err(WalError::Poisoned)));
+        assert!(matches!(
+            wal.announce().enqueue(&batch(3)),
+            Err(WalError::Poisoned)
+        ));
         assert!(matches!(wal.append(&batch(3)), Err(WalError::Poisoned)));
         // Recovery repairs: at most the crashed group replays, and the
         // reopened log accepts work again.
@@ -1209,7 +1384,7 @@ mod tests {
         let (wal, _) = open_mem(&storage, cfg.clone());
         for round in 0..10u64 {
             for i in 0..4u64 {
-                wal.enqueue(&batch(round * 4 + i + 1)).unwrap();
+                wal.announce().enqueue(&batch(round * 4 + i + 1)).unwrap();
             }
             wal.flush_pending().unwrap();
         }
@@ -1232,7 +1407,7 @@ mod tests {
         // hits the watermark and must flush the tail itself rather than
         // deadlock waiting for an ack-waiter that never comes.
         for ts in 1..=12 {
-            wal.enqueue(&batch(ts)).unwrap();
+            wal.announce().enqueue(&batch(ts)).unwrap();
         }
         let stats = wal.group_stats();
         assert!(
@@ -1260,16 +1435,16 @@ mod tests {
             ..WalConfig::default()
         };
         let (wal, _) = open_mem(&storage, cfg);
-        wal.try_enqueue(&batch(1)).unwrap();
-        wal.try_enqueue(&batch(2)).unwrap();
+        wal.announce().try_enqueue(&batch(1)).unwrap();
+        wal.announce().try_enqueue(&batch(2)).unwrap();
         assert!(matches!(
-            wal.try_enqueue(&batch(3)),
+            wal.announce().try_enqueue(&batch(3)),
             Err(WalError::Backpressure)
         ));
         assert_eq!(wal.pending_batches(), 2, "refused record not enqueued");
         // Draining the tail re-opens admission.
         wal.flush_pending().unwrap();
-        wal.try_enqueue(&batch(3)).unwrap();
+        wal.announce().try_enqueue(&batch(3)).unwrap();
         wal.flush_pending().unwrap();
         assert!(wal.group_stats().blocked_enqueues >= 1);
         drop(wal);
@@ -1287,9 +1462,9 @@ mod tests {
             ..WalConfig::default()
         };
         let (wal, _) = open_mem(&storage, cfg);
-        wal.enqueue(&batch(1)).unwrap();
+        wal.announce().enqueue(&batch(1)).unwrap();
         // The second enqueue finds a pending byte and must flush first.
-        wal.enqueue(&batch(2)).unwrap();
+        wal.announce().enqueue(&batch(2)).unwrap();
         wal.flush_pending().unwrap();
         let stats = wal.group_stats();
         assert!(stats.blocked_enqueues >= 1);
@@ -1325,5 +1500,129 @@ mod tests {
         for (i, b) in replay.batches.iter().enumerate() {
             assert_eq!(b.commit_ts, i as u64 + 1, "prefix, in order");
         }
+    }
+
+    #[test]
+    fn leader_holds_for_an_announced_committer() {
+        let (wal, mean) = open_slow_calibrated(WalConfig::default());
+        let announced = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let intent = wal.announce();
+                announced.wait();
+                // Still "in the commit section" when the leader arrives.
+                await_holding(&wal);
+                let seq = intent.enqueue(&batch(3)).unwrap();
+                wal.wait_durable(seq).unwrap();
+            });
+            announced.wait();
+            let seq = wal.announce().enqueue(&batch(2)).unwrap();
+            wal.wait_durable(seq).unwrap();
+        });
+        let g = wal.group_stats();
+        assert_eq!(g.groups, 2, "both records left in one group: {g:?}");
+        assert_eq!(g.max_group, 2);
+        assert_eq!(g.holds, 1);
+        // The enqueue ended the hold, not the one-mean-flush bound.
+        assert!(
+            g.hold_ns < mean.as_nanos() as u64 / 2,
+            "hold ran {} ns of a {mean:?} budget",
+            g.hold_ns
+        );
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_parked_intent_costs_at_most_one_mean_flush() {
+        let (wal, mean) = open_slow_calibrated(WalConfig::default());
+        let announced = std::sync::Barrier::new(2);
+        let release = std::sync::Barrier::new(2);
+        let elapsed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _intent = wal.announce();
+                announced.wait();
+                release.wait(); // never enqueues
+            });
+            announced.wait();
+            let t0 = Instant::now();
+            let seq = wal.announce().enqueue(&batch(2)).unwrap();
+            wal.wait_durable(seq).unwrap();
+            let elapsed = t0.elapsed();
+            release.wait();
+            elapsed
+        });
+        let g = wal.group_stats();
+        assert_eq!((g.groups, g.max_group, g.holds), (2, 1, 1), "{g:?}");
+        assert!(g.hold_ns >= mean.as_nanos() as u64, "held the full bound");
+        // Hold (one mean flush) plus the flush itself, with slack for a
+        // loaded host — never an unbounded wait.
+        assert!(elapsed < mean * 3, "{elapsed:?} against a {mean:?} mean");
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_lone_writer_never_holds() {
+        let (wal, _) = open_mem(&slow_disk(), WalConfig::default());
+        for ts in 1..=100 {
+            let seq = wal.announce().enqueue(&batch(ts)).unwrap();
+            wal.wait_durable(seq).unwrap();
+        }
+        let g = wal.group_stats();
+        assert_eq!((g.groups, g.holds, g.hold_ns), (100, 0, 0), "{g:?}");
+    }
+
+    #[test]
+    fn a_blocked_enqueue_self_promotes_without_holding() {
+        let (wal, mean) = open_slow_calibrated(WalConfig {
+            max_pending_batches: 1,
+            ..WalConfig::default()
+        });
+        wal.announce().enqueue(&batch(2)).unwrap(); // fills the tail
+                                                    // At the watermark with its own intent still outstanding: it
+                                                    // must lead the flush at once, not hold for itself.
+        let t0 = Instant::now();
+        let seq = wal.announce().enqueue(&batch(3)).unwrap();
+        let elapsed = t0.elapsed();
+        let g = wal.group_stats();
+        assert_eq!((g.blocked_enqueues, g.groups, g.holds), (1, 2, 0), "{g:?}");
+        assert!(elapsed < mean * 2, "{elapsed:?} against a {mean:?} mean");
+        wal.wait_durable(seq).unwrap();
+        assert_eq!(wal.group_stats().holds, 0);
+    }
+
+    #[test]
+    fn a_dropped_intent_is_withdrawn_and_wakes_the_holder() {
+        let (wal, mean) = open_slow_calibrated(WalConfig {
+            max_pending_batches: 1,
+            ..WalConfig::default()
+        });
+        wal.announce().try_enqueue(&batch(2)).unwrap();
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0, "consumed");
+        let refused = wal.announce().try_enqueue(&batch(3));
+        assert!(matches!(refused, Err(WalError::Backpressure)));
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0, "withdrawn");
+        wal.flush_pending().unwrap();
+
+        // A holding leader is released by the withdrawal, not the bound.
+        let announced = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let intent = wal.announce();
+                announced.wait();
+                await_holding(&wal);
+                drop(intent); // the commit aborted
+            });
+            announced.wait();
+            let seq = wal.announce().enqueue(&batch(3)).unwrap();
+            wal.wait_durable(seq).unwrap();
+        });
+        let g = wal.group_stats();
+        assert_eq!(g.holds, 1, "{g:?}");
+        assert!(
+            g.hold_ns < mean.as_nanos() as u64 / 2,
+            "hold ran {} ns of a {mean:?} budget",
+            g.hold_ns
+        );
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0);
     }
 }

@@ -542,18 +542,24 @@ fn group_members_are_all_or_nothing_across_crashes() {
 /// before its next commit, so the group tail holds at most one unacked
 /// commit per writer — after any crash every writer keeps a gapless
 /// prefix with `k_t >= acked_t`, and at most `WRITERS` unacked commits
-/// materialise in total (`acked <= T <= acked + group_size`).
+/// materialise in total (`acked <= T <= acked + group_size`). The dry run
+/// must show leaders holding for committers on their way, so the sweep
+/// crashes inside held groups too.
 #[test]
 fn group_commit_crash_sweep_concurrent_writers() {
     const WRITERS: usize = 3;
     const PER: u64 = 10;
+    // A disk slow enough that writers overlap a flush even on a busy
+    // two-core host.
+    const SLOW_SYNC: Duration = Duration::from_micros(200);
 
-    let run = |storage: &FaultStorage| -> Vec<u64> {
+    // Per-writer acks, and how many flushes a leader held.
+    let run = |storage: &FaultStorage| -> (Vec<u64>, u64) {
         let Ok(db) = open_g(storage, Durability::Always, GroupCommit::Leader) else {
-            return vec![0; WRITERS];
+            return (vec![0; WRITERS], 0);
         };
         let db = &db;
-        std::thread::scope(|scope| {
+        let acked = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..WRITERS)
                 .map(|t| {
                     scope.spawn(move || {
@@ -573,11 +579,20 @@ fn group_commit_crash_sweep_concurrent_writers() {
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+        });
+        (acked, db.durable_stats().holds)
     };
 
-    let dry = FaultStorage::unfaulted();
-    assert_eq!(run(&dry), vec![PER; WRITERS], "dry run must not fail");
+    let dry = FaultStorage::new(
+        FaultPlan {
+            sync_latency: SLOW_SYNC,
+            ..FaultPlan::default()
+        },
+        0x6c0,
+    );
+    let (acked, holds) = run(&dry);
+    assert_eq!(acked, vec![PER; WRITERS], "dry run must not fail");
+    assert!(holds > 0, "no leader held for a committer on its way");
     // Coalescing is timing-dependent, so faulted runs may batch commits
     // into fewer, larger frames than the dry run; the sweep range only
     // needs to cover every site any run can hit.
@@ -589,10 +604,11 @@ fn group_commit_crash_sweep_concurrent_writers() {
                 crash_at_append: (!use_sync).then_some(n),
                 crash_at_sync: use_sync.then_some(n),
                 drop_unsynced: use_sync,
+                sync_latency: SLOW_SYNC,
                 ..FaultPlan::default()
             };
             let storage = FaultStorage::new(plan, 0x6c0 ^ n);
-            let acked = run(&storage);
+            let (acked, _) = run(&storage);
             let db = match open_g(
                 &storage.crash_view(),
                 Durability::Always,
