@@ -23,12 +23,14 @@
 //!   right before the tail so only the tail replays. Recovery must scale
 //!   with the tail, not the database: the checkpointed rows stay flat as
 //!   the pre-checkpoint history grows.
-//! * `bounded_queue` — one writer calling `write_acked` flat out
-//!   against a [`GroupCommit::Flusher`] thread, once with the commit
-//!   queue unbounded and once capped at a small watermark. The bounded
-//!   row rate-matches the writer to the disk (its `blocked_enqueues` /
-//!   `blocked_ms` show the backpressure actually engaging) instead of
-//!   letting unfsynced batches pile up in memory.
+//! * `bounded_queue` — one [`GroupCommit::Leader`] writer calling
+//!   `write_acked` flat out and never awaiting the acks, once with the
+//!   commit queue unbounded and once capped at a small watermark. With
+//!   nobody waiting, nothing flushes the unbounded tail until the final
+//!   `sync`; at the watermark a blocked commit leads the flush itself,
+//!   so the bounded row rate-matches the writer to the disk (its
+//!   `blocked_enqueues` / `blocked_ms` show the backpressure actually
+//!   engaging) instead of letting unfsynced batches pile up in memory.
 //! * `maintenance` — the same time-boxed writer, once bare and once
 //!   with the background supervisor
 //!   ([`DurableDatabase::start_maintenance`]) checkpointing at the
@@ -125,7 +127,6 @@ fn group_name(g: GroupCommit) -> &'static str {
     match g {
         GroupCommit::Serial => "serial",
         GroupCommit::Leader => "leader",
-        GroupCommit::Flusher { .. } => "flusher",
     }
 }
 
@@ -180,8 +181,8 @@ fn measure_group(
     )
 }
 
-/// One time-boxed saturation run: a single writer calling `write_acked`
-/// flat out against a `Flusher` group-commit thread, with the commit
+/// One time-boxed saturation run: a single `Leader` writer calling
+/// `write_acked` flat out without awaiting its acks, with the commit
 /// queue either unbounded (`bound == 0`) or capped at `bound` batches.
 /// Returns (commits/s, final durable stats).
 fn measure_saturation(
@@ -191,11 +192,7 @@ fn measure_saturation(
     zipf: &ScrambledZipf,
 ) -> (f64, mvcc_core::DurableStats) {
     let dir = scratch_dir(&format!("sat-{bound}"));
-    let mut cfg = DurableConfig::default()
-        .with_group_commit(GroupCommit::Flusher {
-            max_coalesce: Duration::from_micros(200),
-        })
-        .with_flush_slo(Duration::from_millis(2));
+    let mut cfg = DurableConfig::default().with_group_commit(GroupCommit::Leader);
     if bound > 0 {
         cfg = cfg.with_max_pending_batches(bound);
     }
@@ -457,12 +454,11 @@ fn main() {
     for (name, b) in [("unbounded", 0usize), ("bounded", bound)] {
         let (commits, stats) = measure_saturation(b, secs, batch, &zipf);
         println!(
-            "  flusher {name:<9} {commits:>9.0} commits/s  blocked {:>6} enqueues \
-             ({:>6.1} ms)  max flush {:>8.1} us  slo misses {}",
+            "  queue {name:<9} {commits:>9.0} commits/s  blocked {:>6} enqueues \
+             ({:>6.1} ms)  max flush {:>8.1} us",
             stats.blocked_enqueues,
             stats.blocked_ns as f64 / 1e6,
             stats.max_flush_ns as f64 / 1e3,
-            stats.slo_misses,
         );
         jw.begin_object(name);
         jw.field_u64("max_pending_batches", b as u64);
@@ -472,7 +468,6 @@ fn main() {
         jw.field_u64("blocked_enqueues", stats.blocked_enqueues);
         jw.field_f64("blocked_ms", stats.blocked_ns as f64 / 1e6);
         jw.field_u64("max_flush_ns", stats.max_flush_ns);
-        jw.field_u64("slo_misses", stats.slo_misses);
         jw.end_object();
     }
     jw.end_object();

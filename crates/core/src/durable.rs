@@ -13,10 +13,9 @@
 //!   hands every batch the next `commit_ts` in log order (so the `set`
 //!   cannot lose a race to another durable writer). What "publish"
 //!   costs depends on the [`GroupCommit`] policy: `Serial` appends *and
-//!   fsyncs* the frame inside the critical section, while
-//!   `Leader`/`Flusher` only
-//!   *enqueue* the record on the WAL's commit-ordered group tail there
-//!   and wait for the coalesced group fsync **outside** the lock — one
+//!   fsyncs* the frame inside the critical section, while `Leader` only
+//!   *enqueues* the record on the WAL's commit-ordered group tail there
+//!   and waits for the coalesced group fsync **outside** the lock — one
 //!   fsync covers every commit that overlapped it. The invariant is
 //!   then *logged-before-visible, durable-before-acked*: a commit is in
 //!   the log before readers can see it, and [`DurableSession::write`]
@@ -108,11 +107,6 @@ pub enum Durability {
 ///   lock share one fsync instead of alternating, and a lone writer
 ///   (nobody announced, groups of one) never holds: one fsync per
 ///   commit, same as `Serial`.
-/// * [`Flusher`](GroupCommit::Flusher) — a dedicated background thread
-///   flushes the group tail after waiting up to `max_coalesce` for more
-///   commits to accumulate; committers wait passively. Trades up to
-///   `max_coalesce` of added commit latency for bigger groups (useful
-///   when writers rarely overlap but fsyncs are expensive).
 ///
 /// Group commit only changes *when the fsync happens*, never what is
 /// logged: records still enter the WAL's commit-ordered tail before the
@@ -127,12 +121,6 @@ pub enum GroupCommit {
     /// First durability waiter holds for committers on their way, then
     /// flushes the whole pending group.
     Leader,
-    /// A dedicated thread flushes after a bounded coalescing wait.
-    Flusher {
-        /// How long the flusher lets a non-empty group accumulate before
-        /// flushing it (an upper bound on added commit latency).
-        max_coalesce: Duration,
-    },
 }
 
 /// Configuration for opening / recovering a [`DurableDatabase`].
@@ -148,17 +136,14 @@ pub struct DurableConfig {
     pub retry: RetryPolicy,
     /// Bounded commit queue: high watermark on the group-commit tail in
     /// pending commits (0 = unbounded). A commit that would push past it
-    /// blocks inside its critical section until the flusher drains the
-    /// tail — backpressure instead of unbounded memory when the commit
-    /// rate outruns the disk. Counted in
+    /// blocks inside its critical section until a flush drains the tail
+    /// — leading that flush itself if none is running — so memory stays
+    /// bounded when the commit rate outruns the disk. Counted in
     /// [`DurableStats::blocked_enqueues`].
     pub max_pending_batches: usize,
     /// Bounded commit queue by encoded bytes (0 = unbounded); whichever
     /// watermark trips first wins.
     pub max_pending_bytes: usize,
-    /// Flusher-latency SLO: a group flush slower than this is counted in
-    /// [`DurableStats::slo_misses`] (`None` = no SLO).
-    pub flush_slo: Option<Duration>,
 }
 
 impl Default for DurableConfig {
@@ -171,7 +156,6 @@ impl Default for DurableConfig {
             retry: wal.retry,
             max_pending_batches: wal.max_pending_batches,
             max_pending_bytes: wal.max_pending_bytes,
-            flush_slo: wal.flush_slo,
         }
     }
 }
@@ -196,12 +180,6 @@ impl DurableConfig {
         self
     }
 
-    /// This config with a flusher-latency SLO.
-    pub fn with_flush_slo(mut self, slo: Duration) -> Self {
-        self.flush_slo = Some(slo);
-        self
-    }
-
     fn wal_config(&self) -> WalConfig {
         WalConfig {
             fsync: match self.durability {
@@ -215,7 +193,6 @@ impl DurableConfig {
             retry: self.retry,
             max_pending_batches: self.max_pending_batches,
             max_pending_bytes: self.max_pending_bytes,
-            flush_slo: self.flush_slo,
         }
     }
 }
@@ -317,8 +294,6 @@ pub struct DurableStats {
     pub flush_ns_total: u64,
     /// The slowest single group flush observed.
     pub max_flush_ns: u64,
-    /// Flushes that exceeded [`DurableConfig::flush_slo`].
-    pub slo_misses: u64,
     /// Commits that found the bounded queue at its watermark and had to
     /// block for a flush (saturation: the commit rate outran the disk).
     pub blocked_enqueues: u64,
@@ -549,9 +524,6 @@ pub struct CommitAck {
     /// `None`: already as durable as the policy guarantees.
     wal: Option<Arc<Wal>>,
     seq: u64,
-    /// Whether the waiter may lead the flush ([`GroupCommit::Leader`]) or
-    /// should defer to the dedicated flusher ([`GroupCommit::Flusher`]).
-    lead: bool,
     commit_ts: Option<u64>,
 }
 
@@ -559,7 +531,6 @@ impl std::fmt::Debug for CommitAck {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitAck")
             .field("seq", &self.seq)
-            .field("lead", &self.lead)
             .field("commit_ts", &self.commit_ts)
             .field("durable", &self.is_durable())
             .finish()
@@ -571,7 +542,6 @@ impl CommitAck {
         CommitAck {
             wal: None,
             seq: 0,
-            lead: false,
             commit_ts,
         }
     }
@@ -594,19 +564,13 @@ impl CommitAck {
     /// Block until this commit is durable. Under [`GroupCommit::Leader`]
     /// the caller may end up performing the group flush itself. `Err`
     /// means the flush failed *after* the commit became visible — the
-    /// log is poisoned (see [`WalError::Poisoned`]) and the commit,
-    /// while readable in memory, may not survive a crash.
+    /// log is poisoned and the commit, while readable in memory, may not
+    /// survive a crash. The waiter that ran the failing flush gets its
+    /// I/O error; every other waiter gets [`WalError::Poisoned`].
     pub fn wait(&self) -> Result<(), DurableError> {
         match &self.wal {
             None => Ok(()),
-            Some(wal) => {
-                if self.lead {
-                    wal.wait_durable(self.seq)?;
-                } else {
-                    wal.wait_durable_passive(self.seq)?;
-                }
-                Ok(())
-            }
+            Some(wal) => Ok(wal.wait_durable(self.seq)?),
         }
     }
 }
@@ -630,70 +594,15 @@ pub struct DurableDatabase<P: TreeParams, M: VersionMaintenance = PswfVm> {
     db: Database<P, M>,
     storage: Arc<dyn Storage>,
     /// `None` under [`Durability::Off`]: commits skip logging entirely.
-    /// Shared ([`Arc`]) so [`CommitAck`]s and the flusher thread can
-    /// outlive the borrow of a session.
+    /// Shared ([`Arc`]) so [`CommitAck`]s can outlive the borrow of a
+    /// session.
     wal: Option<Arc<Wal>>,
     /// The *effective* group-commit policy ([`GroupCommit::Serial`]
     /// whenever durability is not [`Durability::Always`]).
     group: GroupCommit,
-    _flusher: Option<FlusherHandle>,
     commit: Mutex<CommitClock>,
     report: RecoveryReport,
     maint: Mutex<MaintInner>,
-}
-
-/// The dedicated flusher thread of [`GroupCommit::Flusher`], joined on
-/// drop (after a final flush of whatever is still pending).
-struct FlusherHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FlusherHandle {
-    fn spawn(wal: Arc<Wal>, max_coalesce: Duration) -> FlusherHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // The park interval bounds both shutdown latency and how stale an
-        // empty-tail check can go; the coalescing window itself is the
-        // sleep between "work observed" and "flush".
-        let idle = max_coalesce.max(Duration::from_micros(100));
-        let join = std::thread::Builder::new()
-            .name("mvcc-wal-flusher".into())
-            .spawn(move || loop {
-                if stop2.load(Ordering::Acquire) {
-                    let _ = wal.flush_pending();
-                    return;
-                }
-                if wal.pending_batches() > 0 {
-                    std::thread::sleep(max_coalesce);
-                    // A poisoned log surfaces to the waiters themselves;
-                    // the flusher just parks until shutdown.
-                    if wal.flush_pending().is_err() {
-                        while !stop2.load(Ordering::Acquire) {
-                            std::thread::park_timeout(idle);
-                        }
-                        return;
-                    }
-                } else {
-                    std::thread::park_timeout(idle);
-                }
-            })
-            .expect("spawn wal flusher thread");
-        FlusherHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-impl Drop for FlusherHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            join.thread().unpark();
-            let _ = join.join();
-        }
-    }
 }
 
 fn decode_ops<P: TreeParams>(ops: &[WalOp]) -> Result<Vec<MapOp<P>>, DurableError>
@@ -851,12 +760,6 @@ where
             Durability::Off => None,
             _ => Some(Arc::new(wal)),
         };
-        let _flusher = match (&wal, group) {
-            (Some(wal), GroupCommit::Flusher { max_coalesce }) => {
-                Some(FlusherHandle::spawn(Arc::clone(wal), max_coalesce))
-            }
-            _ => None,
-        };
         let maint = MaintInner {
             health: Health::Ok,
             stats: MaintenanceStats {
@@ -876,7 +779,6 @@ where
             storage,
             wal,
             group,
-            _flusher,
             commit: Mutex::new(CommitClock { next_tx, last_ts }),
             report,
             maint: Mutex::new(maint),
@@ -974,7 +876,6 @@ impl<P: TreeParams, M: VersionMaintenance> DurableDatabase<P, M> {
                     max_group: g.max_group,
                     flush_ns_total: g.flush_ns,
                     max_flush_ns: g.max_flush_ns,
-                    slo_misses: g.slo_misses,
                     blocked_enqueues: g.blocked_enqueues,
                     blocked_ns: g.blocked_ns,
                     holds: g.holds,
@@ -1290,7 +1191,7 @@ where
 
 /// The background supervisor thread of
 /// [`DurableDatabase::start_maintenance`], stopped and joined on drop
-/// (RAII, mirroring the WAL flusher thread).
+/// (RAII).
 pub struct MaintenanceHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -1389,7 +1290,7 @@ where
     /// the new version becomes visible, and `Ok` means the commit is as
     /// durable as the [`Durability`] policy guarantees: under
     /// [`GroupCommit::Serial`] the frame was appended and fsynced inside
-    /// the commit critical section; under `Leader`/`Flusher` the record
+    /// the commit critical section; under `Leader` the record
     /// entered the WAL's commit-ordered tail inside the critical section
     /// and this call then waited (outside it) for the group fsync —
     /// equivalent to [`DurableSession::write_acked`] followed by an
@@ -1398,8 +1299,9 @@ where
     /// On a WAL *append* error the in-memory database is untouched and
     /// the error is surfaced — the transaction did not happen. A group
     /// *flush* error is different: the commit is already visible but its
-    /// durability is unknown, the log is poisoned, and every coalesced
-    /// waiter gets [`WalError::Poisoned`] (see [`CommitAck::wait`]).
+    /// durability is unknown and the log is poisoned; the waiter that ran
+    /// the flush gets its I/O error, every other coalesced waiter
+    /// [`WalError::Poisoned`] (see [`CommitAck::wait`]).
     ///
     /// Under [`Durability::Off`] this is exactly [`Session::write`]
     /// (lock-free, retrying, nothing logged), wrapped in `Ok`.
@@ -1450,7 +1352,7 @@ where
         // commit lock, so a leader about to flush can hold for it.
         let intent = match dd.group {
             GroupCommit::Serial => None,
-            _ => Some(wal.announce()),
+            GroupCommit::Leader => Some(wal.announce()),
         };
 
         // Serialize durable writers: commit_ts assignment, WAL publish
@@ -1490,7 +1392,6 @@ where
             Some(seq) => CommitAck {
                 wal: Some(Arc::clone(wal)),
                 seq,
-                lead: !matches!(dd.group, GroupCommit::Flusher { .. }),
                 commit_ts,
             },
             None => CommitAck::immediate(commit_ts),
@@ -1910,31 +1811,6 @@ mod tests {
         let stats = db.durable_stats();
         assert_eq!(stats.pending_batches, 0);
         assert_eq!(stats.max_group, 2, "the two commits shared one flush");
-    }
-
-    #[test]
-    fn flusher_policy_flushes_in_background_and_recovers() {
-        let storage = FaultStorage::unfaulted();
-        {
-            let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
-                Arc::new(storage.clone()),
-                2,
-                DurableConfig::default().with_group_commit(GroupCommit::Flusher {
-                    max_coalesce: Duration::from_micros(200),
-                }),
-            )
-            .unwrap();
-            let mut s = db.session().unwrap();
-            for k in 0..30u64 {
-                s.insert(k, k).unwrap();
-            }
-            let stats = db.durable_stats();
-            assert_eq!(stats.batches_flushed, 30);
-            assert!(stats.groups_flushed >= 1);
-        } // drop stops and joins the flusher thread
-        let db = open(&storage, Durability::Always);
-        assert_eq!(db.recovery().replayed, 30);
-        assert_eq!(db.session().unwrap().len(), 30);
     }
 
     #[test]

@@ -141,7 +141,7 @@
 //! with only explicit [`DurableDatabase::checkpoint`] calls persisting
 //! state. Orthogonally, [`GroupCommit`] decides how concurrent `Always`
 //! committers share fsyncs: `Serial` pays one per commit inside the
-//! commit lock; `Leader`/`Flusher` enqueue inside the lock and coalesce
+//! commit lock; `Leader` enqueues inside the lock and coalesces
 //! overlapping commits into one group fsync outside it, acknowledged
 //! through awaitable [`CommitAck`]s ([`DurableSession::write_acked`])
 //! and measured by [`DurableStats`]. The recovery contract: the newest

@@ -13,9 +13,10 @@
 //!   [`FsyncPolicy`] (the *serial* path), while [`Wal::announce`] +
 //!   [`CommitIntent::enqueue`] + [`Wal::wait_durable`] stage records on
 //!   a commit-ordered **group tail** that a leader — the first
-//!   durability waiter, or a dedicated flusher thread — drains into one
-//!   multi-record frame and a single fsync (the *group-commit* path; see
-//!   [`GroupStats`] for how well it coalesces). A waiting leader holds
+//!   durability waiter, or an enqueue blocked at the tail's watermark —
+//!   drains into one multi-record frame and a single fsync (the
+//!   *group-commit* path; see [`GroupStats`] for how well it
+//!   coalesces). A waiting leader holds
 //!   its flush, at most one mean flush time, for committers on their
 //!   way: announced and not yet enqueued, or expected from the size of
 //!   the last group. Appends retry transient I/O errors with exponential
@@ -158,9 +159,6 @@ pub struct WalConfig {
     /// (0 = unbounded). Same backpressure contract as
     /// [`WalConfig::max_pending_batches`]; whichever trips first wins.
     pub max_pending_bytes: usize,
-    /// Flusher-latency SLO: a group flush slower than this counts as an
-    /// [`GroupStats::slo_misses`] saturation event (`None` = no SLO).
-    pub flush_slo: Option<Duration>,
 }
 
 impl Default for WalConfig {
@@ -171,7 +169,6 @@ impl Default for WalConfig {
             retry: RetryPolicy::default(),
             max_pending_batches: 0,
             max_pending_bytes: 0,
-            flush_slo: None,
         }
     }
 }

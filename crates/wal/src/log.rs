@@ -25,20 +25,24 @@
 //!   enqueued, or expected because the tail is still smaller than the
 //!   last flushed group — it *holds*: it waits until they have enqueued
 //!   (or withdrawn), but never longer than one mean flush time, so the
-//!   hold costs at most the flush it saves. Then it drains the tail and flushes while later enqueuers keep adding to
-//!   the next group; everyone else waits on a condvar and is woken with
-//!   the result. [`Wal::flush_pending`] drives the same flush explicitly
-//!   (the dedicated-flusher policy and `sync`) and never holds.
+//!   hold costs at most the flush it saves. Then it drains the tail and
+//!   flushes while later enqueuers keep adding to the next group;
+//!   everyone else waits on a condvar and is woken with the result. An
+//!   enqueue that finds the tail at its watermark leads a flush the same
+//!   way (without holding: its own announcement is still outstanding),
+//!   and [`Wal::flush_pending`] drives one explicitly for `sync` and the
+//!   serial path; neither holds.
 //!
 //! The two paths have different failure contracts. A serial append rolls
 //! its frame back on any post-append failure, so `Err` means "the log is
 //! unchanged". A group flush cannot roll back: its records were enqueued
 //! (and the corresponding commits made visible) before the flush ran, so
 //! truncating them away would let the *next* group replay over a gap in
-//! commit order. A failed flush therefore poisons the log —
-//! [`WalError::Poisoned`] to every waiter and every further enqueue —
-//! and recovery at the next open repairs whatever prefix actually
-//! reached storage.
+//! commit order. A failed flush therefore poisons the log: the leader
+//! that ran it gets the I/O error itself (a full disk stays a typed
+//! [`WalError::Io`]), every other waiter and every further enqueue gets
+//! [`WalError::Poisoned`], and recovery at the next open repairs
+//! whatever prefix actually reached storage.
 //!
 //! [`Wal::open`] is recovery: it scans the segments in sequence order,
 //! replays every intact frame (group frames yield their records in
@@ -153,8 +157,6 @@ pub struct GroupStats {
     pub flush_ns: u64,
     /// The slowest single flush observed.
     pub max_flush_ns: u64,
-    /// Flushes that exceeded [`WalConfig::flush_slo`].
-    pub slo_misses: u64,
     /// Enqueues that found the tail at its watermark and had to block
     /// (saturation events: the commit rate outran the disk).
     pub blocked_enqueues: u64,
@@ -211,11 +213,6 @@ struct GroupState {
     poisoned: bool,
     stats: GroupStats,
 }
-
-/// How long a passive group-commit waiter (one relying on a dedicated
-/// flusher) waits before electing itself leader anyway — the deadlock
-/// backstop for a stalled or missing flusher thread.
-const PASSIVE_RESCUE: Duration = Duration::from_millis(20);
 
 /// An append-only write-ahead log over a [`Storage`].
 ///
@@ -592,28 +589,28 @@ impl Wal {
         if self.over_watermark(&g) {
             g.stats.blocked_enqueues += 1;
             let t0 = Instant::now();
-            loop {
+            let waited = loop {
                 if g.poisoned {
-                    g.stats.blocked_ns += t0.elapsed().as_nanos() as u64;
-                    return Err(WalError::Poisoned);
+                    break Err(WalError::Poisoned);
                 }
                 if !self.over_watermark(&g) {
-                    break;
+                    break Ok(());
                 }
                 if !g.flushing {
                     // Self-promote: drain the tail ourselves rather than
                     // waiting for an ack-waiter who may never come. Never
                     // hold here — our own intent is still outstanding.
-                    g = self.lead_flush(g);
+                    let res;
+                    (g, res) = self.lead_flush(g);
+                    if res.is_err() {
+                        break res;
+                    }
                     continue;
                 }
-                let (guard, _) = self
-                    .group_cv
-                    .wait_timeout(g, PASSIVE_RESCUE)
-                    .unwrap_or_else(|e| e.into_inner());
-                g = guard;
-            }
+                g = self.group_cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            };
             g.stats.blocked_ns += t0.elapsed().as_nanos() as u64;
+            waited?;
         }
         Ok(self.push_record(g, intent, batch))
     }
@@ -633,7 +630,7 @@ impl Wal {
 
     /// The enqueue tail end: encode onto the pending tail (the caller
     /// has already cleared poisoning and the watermark), consume the
-    /// intent, and wake the flusher — or a leader holding for it.
+    /// intent, and wake a leader holding for it.
     fn push_record(
         &self,
         mut g: MutexGuard<'_, GroupState>,
@@ -649,7 +646,7 @@ impl Wal {
         self.announced.fetch_sub(1, Ordering::Relaxed);
         std::mem::forget(intent);
         drop(g);
-        // Wake a dedicated flusher, passive waiters, or a holding leader.
+        // Wake a leader holding for this record.
         self.group_cv.notify_all();
         seq
     }
@@ -661,23 +658,15 @@ impl Wal {
     /// the last flushed group — it first holds, at most one mean flush
     /// time, for them to enqueue, then performs the flush (one multi-record
     /// append, one fsync) for the whole pending group. The others wait on
-    /// a condvar and wake with the result. `Err(Poisoned)` means a flush
-    /// failed after the record was already enqueued — see the module docs
-    /// for why that cannot be rolled back.
+    /// a condvar and wake with the result. A flush that fails after the
+    /// record was already enqueued cannot be rolled back (see the module
+    /// docs): the leader that ran it gets its I/O error, every other
+    /// waiter [`WalError::Poisoned`].
     pub fn wait_durable(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, true, true)
+        self.wait_group(seq, true)
     }
 
-    /// [`Wal::wait_durable`] for committers relying on a dedicated
-    /// flusher thread: waits passively instead of leading, so the flusher
-    /// controls the coalescing window. If no flush covers `seq` within a
-    /// short backstop interval the waiter elects itself leader after all
-    /// (a stalled or missing flusher must not deadlock commits).
-    pub fn wait_durable_passive(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, false, false)
-    }
-
-    fn wait_group(&self, seq: u64, mut may_lead: bool, may_hold: bool) -> Result<(), WalError> {
+    fn wait_group(&self, seq: u64, may_hold: bool) -> Result<(), WalError> {
         let mut g = self.group_lock();
         loop {
             if g.durable >= seq {
@@ -686,25 +675,23 @@ impl Wal {
             if g.poisoned {
                 return Err(WalError::Poisoned);
             }
-            if may_lead && !g.flushing && !g.holding {
-                if may_hold {
-                    g = self.hold(g, seq);
-                    // A blocked enqueue may have self-promoted meanwhile.
-                    if g.flushing || g.durable >= seq || g.poisoned {
-                        continue;
-                    }
-                }
-                g = self.lead_flush(g);
+            if g.flushing || g.holding {
+                g = self.group_cv.wait(g).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            let (guard, timeout) = self
-                .group_cv
-                .wait_timeout(g, PASSIVE_RESCUE)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-            if timeout.timed_out() {
-                may_lead = true;
+            if may_hold {
+                g = self.hold(g, seq);
+                // A blocked enqueue may have self-promoted meanwhile. The
+                // hold ends without this waiter leading a flush: wake
+                // whoever went to sleep behind `holding`.
+                if g.flushing || g.durable >= seq || g.poisoned {
+                    self.group_cv.notify_all();
+                    continue;
+                }
             }
+            let res;
+            (g, res) = self.lead_flush(g);
+            res?;
         }
     }
 
@@ -757,7 +744,7 @@ impl Wal {
             }
             g.enqueued
         };
-        self.wait_group(target, true, false)
+        self.wait_group(target, false)
     }
 
     /// Records enqueued on the group tail but not yet flushed.
@@ -777,11 +764,15 @@ impl Wal {
     }
 
     /// Become the leader: take the pending records, flush them outside
-    /// the group lock, publish the outcome, wake everyone.
-    fn lead_flush<'a>(&'a self, mut g: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
+    /// the group lock, publish the outcome, wake everyone. A failed flush
+    /// poisons the group state and hands its error to this leader alone.
+    fn lead_flush<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, GroupState>,
+    ) -> (MutexGuard<'a, GroupState>, Result<(), WalError>) {
         debug_assert!(!g.flushing);
         if g.ends.is_empty() {
-            return g;
+            return (g, Ok(()));
         }
         g.flushing = true;
         let bodies = std::mem::take(&mut g.bodies);
@@ -805,16 +796,11 @@ impl Wal {
                 g.stats.max_group = g.stats.max_group.max(ends.len() as u64);
                 g.stats.flush_ns += flush_ns;
                 g.stats.max_flush_ns = g.stats.max_flush_ns.max(flush_ns);
-                if let Some(slo) = self.cfg.flush_slo {
-                    if flush_ns > slo.as_nanos() as u64 {
-                        g.stats.slo_misses += 1;
-                    }
-                }
             }
             Err(_) => g.poisoned = true,
         }
         self.group_cv.notify_all();
-        g
+        (g, res)
     }
 
     /// The flush I/O: frame the pending record bodies (single-record
@@ -942,8 +928,8 @@ impl CommitIntent<'_> {
 
     /// Non-blocking [`CommitIntent::enqueue`]: at the watermark this
     /// returns [`WalError::Backpressure`] immediately (nothing enqueued,
-    /// nothing blocked, the intent withdrawn) instead of waiting for the
-    /// flusher to drain the tail.
+    /// nothing blocked, the intent withdrawn) instead of waiting for a
+    /// flush to drain the tail.
     pub fn try_enqueue(self, batch: &WalBatch) -> Result<u64, WalError> {
         self.wal.try_enqueue(self, batch)
     }
@@ -1357,7 +1343,10 @@ mod tests {
         let (wal, _) = open_mem(&storage, WalConfig::default());
         let s1 = wal.announce().enqueue(&batch(1)).unwrap();
         let s2 = wal.announce().enqueue(&batch(2)).unwrap();
-        assert!(matches!(wal.wait_durable(s1), Err(WalError::Poisoned)));
+        // The leader that ran the failing fsync gets its cause; everyone
+        // after it gets the poison.
+        let err = wal.wait_durable(s1).expect_err("sync crashes");
+        assert!(matches!(err, WalError::Io { op: "sync", .. }), "{err}");
         assert!(matches!(wal.wait_durable(s2), Err(WalError::Poisoned)));
         // Everything downstream refuses too: no frame can be buried
         // after the group whose durability was never acknowledged.
@@ -1454,11 +1443,40 @@ mod tests {
     }
 
     #[test]
-    fn byte_watermark_and_slo_counters_trip() {
+    fn a_blocked_enqueue_that_leads_a_failing_flush_gets_its_cause() {
+        let storage = FaultStorage::new(
+            FaultPlan {
+                crash_at_sync: Some(0),
+                ..FaultPlan::default()
+            },
+            37,
+        );
+        let (wal, _) = open_mem(
+            &storage,
+            WalConfig {
+                max_pending_batches: 1,
+                ..WalConfig::default()
+            },
+        );
+        let s1 = wal.announce().enqueue(&batch(1)).unwrap();
+        // At the watermark: this enqueue leads the flush of record 1,
+        // whose fsync fails. Its own record never enters the tail.
+        let err = wal.announce().enqueue(&batch(2)).expect_err("sync crashes");
+        assert!(matches!(err, WalError::Io { op: "sync", .. }), "{err}");
+        assert_eq!(wal.group_stats().blocked_enqueues, 1);
+        assert!(matches!(wal.wait_durable(s1), Err(WalError::Poisoned)));
+        assert!(matches!(
+            wal.announce().enqueue(&batch(2)),
+            Err(WalError::Poisoned)
+        ));
+        assert_eq!(wal.announced.load(Ordering::Relaxed), 0, "withdrawn");
+    }
+
+    #[test]
+    fn byte_watermark_trips_and_the_slowest_flush_is_recorded() {
         let storage = FaultStorage::unfaulted();
         let cfg = WalConfig {
             max_pending_bytes: 1, // any pending record trips it
-            flush_slo: Some(Duration::ZERO),
             ..WalConfig::default()
         };
         let (wal, _) = open_mem(&storage, cfg);
@@ -1468,11 +1486,9 @@ mod tests {
         wal.flush_pending().unwrap();
         let stats = wal.group_stats();
         assert!(stats.blocked_enqueues >= 1);
+        assert_eq!(stats.groups, 2);
         assert!(stats.max_flush_ns > 0);
-        assert_eq!(
-            stats.slo_misses, stats.groups,
-            "a zero SLO counts every flush as a miss"
-        );
+        assert!(stats.max_flush_ns <= stats.flush_ns);
     }
 
     #[test]
@@ -1624,5 +1640,65 @@ mod tests {
             g.hold_ns
         );
         assert_eq!(wal.announced.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_hold_that_ends_without_flushing_wakes_the_committer_behind_it() {
+        // A leader holds for a parked intent; a blocked enqueue flushes the
+        // leader's record and enqueues its own, and its committer goes to
+        // sleep behind `holding`. The holder then finds itself durable and
+        // returns without leading a flush — that must still wake the
+        // committer behind it, which nothing else would.
+        let (wal, mean) = open_slow_calibrated(WalConfig {
+            max_pending_batches: 1,
+            ..WalConfig::default()
+        });
+        let calibrated = wal.group_stats().flush_ns;
+        // Stretch the holder's budget (read once, as its hold starts) so
+        // the hold outlasts the blocked enqueue's flush.
+        wal.group_lock().stats.flush_ns = Duration::from_secs(2).as_nanos() as u64;
+        let announced = std::sync::Barrier::new(3);
+        let release = std::sync::Barrier::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let wal = &wal;
+        let waited = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _parked = wal.announce();
+                announced.wait();
+                release.wait();
+            });
+            s.spawn(|| {
+                announced.wait();
+                let seq = wal.announce().enqueue(&batch(2)).unwrap();
+                wal.wait_durable(seq).unwrap(); // the holder
+            });
+            announced.wait();
+            await_holding(wal);
+            wal.group_lock().stats.flush_ns = calibrated;
+            s.spawn(move || {
+                // At the watermark: leads the flush of the holder's record.
+                let seq = wal.announce().enqueue(&batch(3)).unwrap();
+                let t0 = Instant::now();
+                wal.wait_durable(seq).unwrap();
+                tx.send(t0.elapsed()).unwrap();
+            });
+            // Watchdog: a lost wake fails the test instead of hanging it.
+            let waited = rx.recv_timeout(Duration::from_secs(1));
+            if waited.is_err() {
+                wal.group_cv.notify_all();
+            }
+            release.wait();
+            waited
+        });
+        let waited = waited.expect("the committer behind the hold was never woken");
+        // Its own hold (one mean flush) plus its flush — nowhere near a
+        // 20 ms backstop timer.
+        assert!(
+            waited < Duration::from_millis(10),
+            "{waited:?} against a {mean:?} mean flush"
+        );
+        let g = wal.group_stats();
+        assert_eq!((g.blocked_enqueues, g.groups), (1, 3), "{g:?}");
+        assert_eq!(wal.durable_seq(), 3);
     }
 }

@@ -78,10 +78,9 @@
 //! fsync trade-off (`Always` per commit, `EveryN` amortized, `Off` for
 //! today's pure in-memory behavior), and [`core::GroupCommit`] decides
 //! how concurrent `Always` committers share those fsyncs: under
-//! `Leader` (or a dedicated `Flusher` thread) overlapping commits
-//! coalesce into one multi-record WAL frame and a single fsync, each
-//! committer holding an awaitable [`core::CommitAck`] that resolves
-//! when its group's flush lands:
+//! `Leader` overlapping commits coalesce into one multi-record WAL
+//! frame and a single fsync, each committer holding an awaitable
+//! [`core::CommitAck`] that resolves when its group's flush lands:
 //!
 //! ```
 //! use multiversion::core::{DurableConfig, DurableDatabase, GroupCommit};

@@ -1080,8 +1080,9 @@ fn torn_background_checkpoint_never_regresses_recovery() {
 /// ENOSPC: an embedded supervisor (ticked on the commit path, the
 /// `mvcc-net` integration mode) keeps the same write load comfortably
 /// inside a disk budget that wedges the unsupervised run — and the
-/// unsupervised failure is a *typed, clean* one: `StorageFull`
-/// surfaces, nothing is torn, and recovery equals the acked prefix.
+/// unsupervised failure is a *typed, clean* one under both `Always`
+/// contracts: the commit that hits the full disk gets `StorageFull`,
+/// nothing is torn, and recovery equals the acked prefix.
 #[test]
 fn enospc_wedges_unsupervised_but_supervised_load_survives() {
     const BUDGET: u64 = 3072;
@@ -1090,36 +1091,55 @@ fn enospc_wedges_unsupervised_but_supervised_load_survives() {
         enospc_after_bytes: Some(BUDGET),
         ..FaultPlan::default()
     };
+    let storage_full = |e: &DurableError| match e {
+        DurableError::Wal(WalError::Io { source, .. }) => {
+            source.kind() == std::io::ErrorKind::StorageFull
+        }
+        _ => false,
+    };
 
     // Unsupervised control: the log grows linearly into the budget.
-    let storage = FaultStorage::new(plan.clone(), 0xe05);
-    let db = open(&storage, Durability::Always).unwrap();
-    let mut session = db.session().unwrap();
-    let mut acked = 0;
-    let mut wedge = None;
-    for i in 0..COMMITS {
-        match session.write(|txn| apply_commit(txn, i)) {
-            Ok(()) => acked += 1,
-            Err(e) => {
-                wedge = Some(e);
-                break;
+    for group in [GroupCommit::Serial, GroupCommit::Leader] {
+        let storage = FaultStorage::new(plan.clone(), 0xe05);
+        let db = open_g(&storage, Durability::Always, group).unwrap();
+        let mut session = db.session().unwrap();
+        let mut acked = 0;
+        let mut wedge = None;
+        for i in 0..COMMITS {
+            match session.write(|txn| apply_commit(txn, i)) {
+                Ok(()) => acked += 1,
+                Err(e) => {
+                    wedge = Some(e);
+                    break;
+                }
             }
         }
-    }
-    match wedge.expect("the budget must wedge the unsupervised run") {
-        DurableError::Wal(WalError::Io { source, .. }) => {
-            assert_eq!(source.kind(), std::io::ErrorKind::StorageFull)
+        let wedge = wedge.expect("the budget must wedge the unsupervised run");
+        assert!(
+            storage_full(&wedge),
+            "{group:?}: expected StorageFull, got {wedge}"
+        );
+        // What the next commit meets differs: a serial append rolled its
+        // frame back and the log is still writable (the disk is still
+        // full), while a failed group flush poisoned the log.
+        let next = session
+            .write(|txn| apply_commit(txn, acked))
+            .expect_err("the disk is still full");
+        match group {
+            GroupCommit::Serial => assert!(storage_full(&next), "Serial retry: {next}"),
+            GroupCommit::Leader => assert!(
+                matches!(next, DurableError::Wal(WalError::Poisoned)),
+                "Leader after a failed flush: {next}"
+            ),
         }
-        other => panic!("expected a typed StorageFull, got {other}"),
+        drop(session);
+        drop(db);
+        // Nothing past the acked commits reached the disk: recovery is
+        // exactly the acked prefix, not a torn one.
+        let db = open(&storage.crash_view(), Durability::Always).unwrap();
+        assert_eq!(db.last_commit_ts(), acked, "{group:?}");
+        assert_eq!(contents(&db), model_after(acked), "{group:?}");
     }
-    drop(session);
-    drop(db);
-    // The failed append rolled back cleanly: recovery is exactly the
-    // acked prefix, not a torn one.
-    let db = open(&storage.crash_view(), Durability::Always).unwrap();
-    assert_eq!(db.last_commit_ts(), acked);
-    assert_eq!(contents(&db), model_after(acked));
-    drop(db);
 
     // Supervised: same budget, same load, zero failures — checkpoint
     // truncation keeps freeing the space the writer is about to use.
