@@ -337,7 +337,9 @@ impl DurableStats {
 #[derive(Debug, Clone)]
 pub struct MaintenancePolicy {
     /// Checkpoint once [`DurableDatabase::wal_bytes`] reaches this many
-    /// bytes (0 disables the bytes trigger).
+    /// bytes and the log has a sealed segment to retire (0 disables the
+    /// bytes trigger). A threshold below the segment size therefore
+    /// checkpoints about once per segment roll, not on every tick.
     pub wal_bytes_threshold: u64,
     /// Checkpoint when this much time has passed since the last
     /// successful checkpoint (`None` disables the time trigger).
@@ -1065,8 +1067,12 @@ where
                     return MaintenanceTick::Backoff;
                 }
             }
-            let bytes_due =
-                policy.wal_bytes_threshold > 0 && wal_bytes >= policy.wal_bytes_threshold;
+            // A checkpoint retires sealed segments only: with the log down
+            // to its active segment, none can shrink it, so the footprint
+            // alone does not make one due.
+            let bytes_due = policy.wal_bytes_threshold > 0
+                && wal_bytes >= policy.wal_bytes_threshold
+                && self.wal.as_ref().is_none_or(|w| w.segments() > 1);
             let time_due = policy
                 .interval
                 .is_some_and(|i| now.duration_since(m.last_checkpoint_at) >= i);
@@ -1883,6 +1889,15 @@ mod tests {
             .sum()
     }
 
+    /// Segments of one byte: every commit seals its segment, so a
+    /// checkpoint is due as soon as anything is logged.
+    fn sealing_every_commit() -> DurableConfig {
+        DurableConfig {
+            segment_bytes: 1,
+            ..DurableConfig::default()
+        }
+    }
+
     fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !cond() {
@@ -1972,6 +1987,46 @@ mod tests {
     }
 
     #[test]
+    fn a_threshold_below_the_segment_size_checkpoints_per_sealed_segment() {
+        // No checkpoint can shrink the log below its active segment, so a
+        // 1 KiB threshold over 64 KiB segments must not checkpoint on
+        // every tick — only when a sealed segment is there to retire.
+        let storage = FaultStorage::unfaulted();
+        let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
+            Arc::new(storage.clone()),
+            2,
+            DurableConfig {
+                segment_bytes: 64 << 10,
+                ..DurableConfig::default()
+            },
+        )
+        .unwrap();
+        let policy = MaintenancePolicy::default().with_wal_bytes_threshold(1 << 10);
+        let mut s = db.session().unwrap();
+        for i in 0..200u64 {
+            s.write(|txn| {
+                txn.multi_insert((0..32).map(|k| (i * 32 + k, i)).collect(), |_o, n| *n);
+            })
+            .unwrap();
+            assert_ne!(db.maintenance_tick(&policy), MaintenanceTick::Failed);
+        }
+        let newest = storage
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| is_segment_name(n))
+            .max()
+            .unwrap();
+        let sealed: u64 = newest[4..12].parse::<u64>().unwrap() - 1;
+        assert!(sealed >= 2, "the load must seal segments: {sealed}");
+        let checkpoints = db.maintenance_stats().checkpoints;
+        assert!(
+            (1..=sealed + 1).contains(&checkpoints),
+            "{checkpoints} checkpoints for {sealed} sealed segments"
+        );
+    }
+
+    #[test]
     fn maintenance_degrades_then_recovers_to_ok() {
         use mvcc_wal::FaultPlan;
         let storage = FaultStorage::new(
@@ -1981,12 +2036,9 @@ mod tests {
             },
             5,
         );
-        let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
-            Arc::new(storage.clone()),
-            2,
-            DurableConfig::default(),
-        )
-        .unwrap();
+        let db: DurableDatabase<U64Map> =
+            DurableDatabase::recover_storage(Arc::new(storage.clone()), 2, sealing_every_commit())
+                .unwrap();
         db.session().unwrap().insert(1, 1).unwrap();
         let policy = MaintenancePolicy::default()
             .with_wal_bytes_threshold(1)
@@ -2061,12 +2113,8 @@ mod tests {
             9,
         );
         let db: Arc<DurableDatabase<U64Map>> = Arc::new(
-            DurableDatabase::recover_storage(
-                Arc::new(storage.clone()),
-                2,
-                DurableConfig::default(),
-            )
-            .unwrap(),
+            DurableDatabase::recover_storage(Arc::new(storage.clone()), 2, sealing_every_commit())
+                .unwrap(),
         );
         db.session().unwrap().insert(1, 1).unwrap();
         // A backoff far longer than the test: drop must not wait it out.
@@ -2091,12 +2139,8 @@ mod tests {
     fn maintenance_handle_drop_waits_out_in_flight_checkpoint() {
         let storage = FaultStorage::unfaulted();
         let db: Arc<DurableDatabase<U64Map>> = Arc::new(
-            DurableDatabase::recover_storage(
-                Arc::new(storage.clone()),
-                2,
-                DurableConfig::default(),
-            )
-            .unwrap(),
+            DurableDatabase::recover_storage(Arc::new(storage.clone()), 2, sealing_every_commit())
+                .unwrap(),
         );
         // A big image makes the snapshot walk take real time, so the
         // drop below almost certainly lands mid-checkpoint.

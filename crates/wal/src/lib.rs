@@ -32,7 +32,15 @@
 //!   record (the torn bytes are truncated away so the log is appendable
 //!   again) instead of aborting.
 //!
-//! ## Frame grammar
+//! ## Segment and frame grammar
+//!
+//! A segment is a header, frames, and optional zero padding.
+//! [`DirStorage`] keeps each segment zero-filled past its last frame, so
+//! a group commit's fsync overwrites zeros instead of growing the file.
+//! Recovery reads padding as the segment's clean end and trims it; any
+//! nonzero byte after the last intact frame makes the tail torn. (A zero
+//! frame head would claim an empty payload, which no record has, so
+//! padding can never decode as a frame.)
 //!
 //! Every frame is length-prefixed and CRC-guarded; the checksum covers
 //! the whole payload, so a torn or bit-flipped **group** frame rejects
@@ -40,7 +48,7 @@
 //! as a partial group:
 //!
 //! ```text
-//! segment := "MVWALSEG" [segment_seq: u64] frame*
+//! segment := "MVWALSEG" [segment_seq: u64] frame* [0x00]*
 //! frame   := [payload_len: u32] [crc32(payload): u32] payload
 //! payload := record                                      // single commit
 //!          | [GROUP_TAG: u64] [n_records: u32] record*   // coalesced group
@@ -55,7 +63,8 @@
 //! are little-endian.
 //!
 //! All I/O goes through the [`Storage`] trait: [`DirStorage`] is the real
-//! filesystem backend, and [`FaultStorage`] is an in-memory double with a
+//! filesystem backend (zero-padded segments, as above), and
+//! [`FaultStorage`] is an in-memory double with a
 //! seeded fault plan — torn writes, dropped unsynced bytes, bit flips,
 //! transient append failures, short reads and crash-points at every write
 //! site — driving the crash-recovery property tests in the workspace root

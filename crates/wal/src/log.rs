@@ -50,7 +50,11 @@
 //! The torn bytes are truncated away and any segments *after* the torn
 //! point are dropped, so the surviving log is exactly the replayed
 //! prefix and immediately appendable — a crash mid-append (or a bit flip
-//! anywhere) costs the tail, never the log.
+//! anywhere) costs the tail, never the log. A segment ends at end of
+//! file or at zero padding: when every byte after the last intact frame
+//! is zero (how [`crate::DirStorage`] pre-fills segments), that is a
+//! clean end — trimmed, not torn, and the scan goes on to the next
+//! segment. One nonzero byte anywhere after the last frame makes it torn.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -246,7 +250,9 @@ impl Wal {
     /// This is crash recovery: intact frames come back in
     /// [`Replay::batches`]; a torn tail is reported in [`Replay::torn`]
     /// and repaired in place (truncated, later segments dropped) so the
-    /// returned log is append-ready.
+    /// returned log is append-ready. Zero padding after a segment's last
+    /// frame is trimmed the same way but is not a torn tail: nothing is
+    /// reported and later segments replay.
     pub fn open(storage: Arc<dyn Storage>, cfg: WalConfig) -> Result<(Wal, Replay), WalError> {
         let mut seqs: Vec<u64> = storage
             .list()
@@ -299,6 +305,16 @@ impl Wal {
                             meta.last_ts = last.commit_ts;
                         }
                         at = next;
+                    }
+                    None if data[at..].iter().all(|&b| b == 0) => {
+                        // Zero padding (see `DirStorage`): the segment's
+                        // clean end. Trim it so appends land right after
+                        // the last frame, and go on to the next segment.
+                        storage
+                            .truncate(&name, at as u64)
+                            .map_err(|e| io_err("truncate", &name, e))?;
+                        meta.bytes = at as u64;
+                        break;
                     }
                     None => {
                         // Torn or corrupt: end replay at the last intact
@@ -1171,6 +1187,79 @@ mod tests {
         let ts: Vec<u64> = replay.batches.iter().map(|b| b.commit_ts).collect();
         assert_eq!(ts, (1..=ts.len() as u64).collect::<Vec<_>>());
         assert!((ts.len() as u64) < 20);
+    }
+
+    /// Append `tail` to `name`, then zeros up to the next 64 KiB
+    /// boundary: what a zero-padded segment looks like after a restart.
+    fn pad_segment(storage: &FaultStorage, name: &str, tail: &[u8]) {
+        storage.append(name, tail).unwrap();
+        let len = storage.len(name).unwrap();
+        let zeros = len.next_multiple_of(64 << 10) - len;
+        storage.append(name, &vec![0; zeros as usize]).unwrap();
+    }
+
+    #[test]
+    fn zero_padded_segments_reopen_clean_and_keep_later_segments() {
+        let storage = FaultStorage::unfaulted();
+        let cfg = WalConfig {
+            segment_bytes: 128,
+            ..WalConfig::default()
+        };
+        let (wal, _) = open_mem(&storage, cfg.clone());
+        for ts in 1..=20 {
+            wal.append(&batch(ts)).unwrap();
+        }
+        let (segments, bytes) = (wal.segments(), wal.bytes());
+        assert!(segments >= 3);
+        drop(wal);
+        for name in storage.list().unwrap() {
+            pad_segment(&storage, &name, &[]);
+        }
+
+        let (wal, replay) = open_mem(&storage, cfg.clone());
+        assert!(replay.torn.is_none(), "padding is not a torn tail");
+        assert_eq!((replay.dropped_segments, replay.repaired_bytes), (0, 0));
+        let ts: Vec<u64> = replay.batches.iter().map(|b| b.commit_ts).collect();
+        assert_eq!(ts, (1..=20).collect::<Vec<_>>(), "every segment replays");
+        assert_eq!((wal.segments(), wal.bytes()), (segments, bytes));
+        // The padding is trimmed: the next frame follows the last one.
+        wal.append(&batch(21)).unwrap();
+        drop(wal);
+        let (_, replay) = open_mem(&storage, cfg);
+        assert!(replay.torn.is_none());
+        assert_eq!(replay.batches.len(), 21);
+    }
+
+    #[test]
+    fn a_zero_frame_head_then_a_nonzero_byte_is_torn() {
+        let storage = FaultStorage::unfaulted();
+        let cfg = WalConfig {
+            segment_bytes: 128,
+            ..WalConfig::default()
+        };
+        let (wal, _) = open_mem(&storage, cfg.clone());
+        for ts in 1..=20 {
+            wal.append(&batch(ts)).unwrap();
+        }
+        drop(wal);
+        // Segment 1 is cleanly padded. Segment 2's padding holds eight
+        // zero bytes that read as a frame head (length 0, CRC 0), then
+        // one byte no padding holds.
+        let second = segment_name(2);
+        let intact = storage.len(&second).unwrap();
+        pad_segment(&storage, &segment_name(1), &[]);
+        pad_segment(&storage, &second, &[0, 0, 0, 0, 0, 0, 0, 0, 1]);
+
+        let (_, replay) = open_mem(&storage, cfg);
+        let torn = replay.torn.expect("a nonzero byte after the frames");
+        assert_eq!(
+            (torn.segment.as_str(), torn.offset, torn.reason),
+            (second.as_str(), intact, "torn or corrupt frame")
+        );
+        assert!(replay.dropped_segments > 0, "later segments must go");
+        let ts: Vec<u64> = replay.batches.iter().map(|b| b.commit_ts).collect();
+        assert_eq!(ts, (1..=ts.len() as u64).collect::<Vec<_>>());
+        assert!(ts.len() < 20);
     }
 
     #[test]

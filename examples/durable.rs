@@ -74,6 +74,9 @@ fn main() {
     );
     assert_eq!(report.checkpoint_ts, None);
     assert_eq!(report.replayed, 9);
+    // The segments on disk are zero-padded past their last frame; that
+    // padding is each segment's clean end, not a torn tail.
+    assert!(report.torn.is_none() && report.dropped_segments == 0);
 
     let mut session = db.session().expect("pid free");
     assert_eq!(session.get(&0), Some(750), "the transfer survived");

@@ -470,14 +470,19 @@ macro_rules! prop_assume {
 /// The property-test entry point. Supports the forms used in this
 /// workspace:
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-///     #[test]
+///     // Put `#[test]` here in a test module; this example calls it.
 ///     fn my_property(x in 0u64..100, ys in prop::collection::vec(any::<bool>(), 1..10)) {
 ///         prop_assert!(x < 100);
+///         prop_assert!(!ys.is_empty() && ys.len() < 10);
 ///     }
 /// }
+///
+/// my_property(); // runs all 64 cases
 /// ```
 #[macro_export]
 macro_rules! proptest {

@@ -600,9 +600,18 @@ fn server_tick_drives_maintenance_hook_and_reports_health() {
         },
         7,
     );
+    // One-byte segments: the commit below seals its segment, so the
+    // 1-byte threshold makes a checkpoint due.
     let bad: Arc<DurableDatabase<U64Map>> = Arc::new(
-        DurableDatabase::recover_storage(Arc::new(broken.clone()), 2, DurableConfig::default())
-            .unwrap(),
+        DurableDatabase::recover_storage(
+            Arc::new(broken.clone()),
+            2,
+            DurableConfig {
+                segment_bytes: 1,
+                ..DurableConfig::default()
+            },
+        )
+        .unwrap(),
     );
     bad.session().unwrap().insert(1, 1).unwrap();
     handle.server().set_maintenance(

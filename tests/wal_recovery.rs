@@ -18,7 +18,7 @@ use multiversion::core::{
     Durability, DurableConfig, DurableDatabase, DurableError, GroupCommit, WriteTxn,
 };
 use multiversion::ftree::U64Map;
-use multiversion::wal::{FaultPlan, FaultStorage, RetryPolicy};
+use multiversion::wal::{is_segment_name, FaultPlan, FaultStorage, RetryPolicy};
 
 /// Small segments so sweeps exercise rotation and checkpoint truncation,
 /// and a short backoff so crashed appends fail fast.
@@ -160,6 +160,55 @@ fn checkpoint_and_replay_round_trip_on_real_files() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Real files keep every WAL segment zero-padded past its last frame.
+/// A clean restart must read that padding as the end of each segment —
+/// not as a torn frame, which would drop every newer segment.
+#[test]
+fn zero_padded_segments_reopen_clean_on_real_files() {
+    let dir = std::env::temp_dir().join(format!("mv-wal-padded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let recover = || -> DurableDatabase<U64Map> {
+        DurableDatabase::recover(&dir, 2, cfg(Durability::Always)).unwrap()
+    };
+    {
+        let db = recover();
+        let mut s = db.session().unwrap();
+        for i in 0..20 {
+            s.write(|txn| apply_commit(txn, i)).unwrap();
+        }
+    }
+    let disk: Vec<u64> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| is_segment_name(e.file_name().to_str().unwrap()))
+        .map(|e| e.metadata().unwrap().len())
+        .collect();
+    assert!(disk.len() >= 3, "the load must roll segments: {disk:?}");
+    assert!(
+        disk.iter().all(|&len| len > 0 && len % (64 << 10) == 0),
+        "every segment is padded to whole 64 KiB steps: {disk:?}"
+    );
+
+    let clean = |db: &DurableDatabase<U64Map>, commits: u64| {
+        let report = db.recovery();
+        assert_eq!(report.replayed, commits as usize, "every batch replays");
+        assert!(report.torn.is_none(), "padding is not a torn tail");
+        assert_eq!(report.dropped_segments, 0);
+        assert_eq!(contents(db), model_after(commits));
+    };
+    let db = recover();
+    clean(&db, 20);
+    // The next commit lands after the trimmed padding and survives a
+    // second reopen.
+    db.session()
+        .unwrap()
+        .write(|txn| apply_commit(txn, 20))
+        .unwrap();
+    drop(db);
+    clean(&recover(), 21);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn torn_tail_truncates_cleanly_and_log_stays_writable() {
     // Dry run to find the write site of the last commit's frame.
@@ -287,6 +336,33 @@ fn bit_flip_in_the_unsynced_tail_is_caught_by_crc() {
 /// checkpoint bytes) gets its turn to die mid-append.
 #[test]
 fn crash_sweep_every_write_site_single_writer() {
+    sweep_every_write_site_single_writer(false);
+}
+
+/// The same sweep onto a disk that zero-pads its segments, as
+/// `DirStorage` does: every crash image gets the padding a restart finds
+/// on a real filesystem. Padding must neither lose an acked commit nor
+/// drop a segment — only a segment whose header the crash tore may go,
+/// exactly as without padding.
+#[test]
+fn crash_sweep_every_write_site_single_writer_onto_zero_padding() {
+    sweep_every_write_site_single_writer(true);
+}
+
+/// `view` with each segment's surviving bytes followed by zeros up to
+/// the next 64 KiB boundary, the step `DirStorage` pads segments in.
+fn zero_padded(view: FaultStorage) -> FaultStorage {
+    for name in view.list().unwrap() {
+        if is_segment_name(&name) {
+            let len = view.len(&name).unwrap();
+            let zeros = len.next_multiple_of(64 << 10) - len;
+            view.append(&name, &vec![0; zeros as usize]).unwrap();
+        }
+    }
+    view
+}
+
+fn sweep_every_write_site_single_writer(pad: bool) {
     const COMMITS: u64 = 12;
     let dry = FaultStorage::unfaulted();
     assert_eq!(
@@ -306,7 +382,12 @@ fn crash_sweep_every_write_site_single_writer() {
             0x5eed ^ n,
         );
         let acked = run_workload(&storage, COMMITS, Durability::Always, Some(5));
-        let db = match open(&storage.crash_view(), Durability::Always) {
+        let view = if pad {
+            zero_padded(storage.crash_view())
+        } else {
+            storage.crash_view()
+        };
+        let db = match open(&view, Durability::Always) {
             Ok(db) => db,
             Err(e) => panic!("crash point {n}: recovery must degrade gracefully, got {e}"),
         };
@@ -324,6 +405,17 @@ fn crash_sweep_every_write_site_single_writer() {
             model_after(t),
             "crash point {n}: recovered state is not the prefix fold"
         );
+        if pad {
+            let report = db.recovery();
+            let torn_header = report
+                .torn
+                .as_ref()
+                .is_some_and(|t| t.reason == "bad segment header");
+            assert!(
+                report.dropped_segments == 0 || (torn_header && report.dropped_segments == 1),
+                "crash point {n}: padding dropped segments: {report:?}"
+            );
+        }
     }
 }
 
