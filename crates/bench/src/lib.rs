@@ -1,10 +1,12 @@
 //! # mvcc-bench — experiment drivers regenerating the paper's evaluation
 //!
-//! One module per experiment family; the `src/bin/` harnesses print the
-//! corresponding table/figure rows. All parameters scale via environment
-//! variables so the same code runs on the paper's 144-thread box or a
-//! 1-core CI machine (the workspace-level `BENCH.md` documents every
-//! recorded `BENCH_*.json` schema and its regeneration command):
+//! One module per experiment family; the five `src/bin/` drivers
+//! (`fig6`, `fig7`, `table1_delay`, `table2`, `table3`) print the
+//! corresponding table/figure rows. They record nothing: the repository's
+//! one measurement instrument is the system benchmark
+//! (`benchmark/README.md`, declared by `BENCHMARK.json`). All parameters
+//! scale via environment variables so the same code runs on the paper's
+//! 144-thread box or a 1-core CI machine:
 //!
 //! | var | default | meaning |
 //! |-----|---------|---------|
@@ -14,7 +16,6 @@
 //! | `MVCC_KEYSPACE` | 100000 | YCSB key space (paper: 5·10⁷) |
 //! | `MVCC_DOCS`     | 5000 | initial documents for Table 3 |
 
-pub mod json;
 pub mod rangesum;
 pub mod table1;
 pub mod table3;

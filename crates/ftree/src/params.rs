@@ -8,16 +8,15 @@
 /// Re-tuned against the work-stealing pool (PR 4): one fork costs two
 /// queue locks plus a latch handshake (sub-microsecond), while a
 /// cutoff-sized bulk-op subtree costs hundreds of microseconds, so fork
-/// overhead stays well under 1%. On the bulk bench (`BENCH_bulk.json`)
-/// union at 10^6 keys measures single-digit-percent total parallel
-/// overhead on a single core (the bench asserts < 10%), flat across
-/// cutoffs 2048–8192 — so the cutoff stays at 2048, which keeps enough
-/// forks in flight to feed wide pools at the sizes the paper evaluates.
+/// overhead stays well under 1%. Union at 10^6 keys measured
+/// single-digit-percent total parallel overhead on a single core, flat
+/// across cutoffs 2048–8192 — so the cutoff stays at 2048, which keeps
+/// enough forks in flight to feed wide pools at the sizes the paper
+/// evaluates.
 pub(crate) const DEFAULT_PAR_CUTOFF: usize = 2048;
 
 /// The active sequential cutoff: `MVCC_PAR_CUTOFF` if set to a positive
-/// integer (read once — benches sweep it across processes), otherwise
-/// [`DEFAULT_PAR_CUTOFF`].
+/// integer (read once per process), otherwise [`DEFAULT_PAR_CUTOFF`].
 #[inline]
 pub(crate) fn par_cutoff() -> usize {
     static CUTOFF: std::sync::OnceLock<usize> = std::sync::OnceLock::new();

@@ -119,7 +119,7 @@ const FIRST_CONN: usize = 2;
 const TICK: Duration = Duration::from_millis(1);
 
 /// Keep at most this many admission-wait samples (oldest kept; the
-/// bench harness drains them long before the cap).
+/// system benchmark drains them long before the cap).
 const MAX_WAIT_SAMPLES: usize = 1 << 22;
 
 /// Monotone counters the loop maintains; snapshot with
@@ -405,8 +405,8 @@ impl Server {
             .clone()
     }
 
-    /// Drain the recorded admission-wait samples (ns). The bench
-    /// harness turns these into the async-path wait-tail percentiles.
+    /// Drain the recorded admission-wait samples (ns). The system
+    /// benchmark turns these into its `net.admission_wait_ns_*` rows.
     pub fn take_wait_samples(&self) -> Vec<u64> {
         std::mem::take(&mut *self.wait_samples.lock().unwrap_or_else(|e| e.into_inner()))
     }

@@ -54,8 +54,9 @@
 //! back to `SeqCst` (the explicit fences remain), restoring the paper's
 //! memory model wholesale. Use it as the safe harbor when auditing the
 //! algorithms against the proofs, or to measure what the relaxed
-//! orderings buy: the `mvcc-bench` `vm_ops` harness records per-op
-//! latency under both regimes into `BENCH_vm.json`.
+//! orderings buy: build the system benchmark (`benchmark/README.md`)
+//! once as is and once with `--features mvcc-vm/strict-sc`, and compare
+//! the traced `vm.acquire_ns` / `vm.set_ns` / `vm.release_ns` rows.
 
 //! ## Example
 //!

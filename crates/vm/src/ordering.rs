@@ -78,9 +78,8 @@
 use std::sync::atomic::{fence, Ordering};
 
 /// `true` when the crate is built in paper-fidelity mode (`strict-sc`):
-/// every tunable role below reads as `SeqCst`. Recorded by the bench
-/// harnesses so `BENCH_vm.json` attributes measurements to the right
-/// regime.
+/// every tunable role below reads as `SeqCst`. A measurement that
+/// compares the two regimes can record it to say which one it ran.
 pub const STRICT_SC: bool = cfg!(feature = "strict-sc");
 
 macro_rules! tunable {

@@ -46,38 +46,21 @@ pub fn run_for(
     duration: Duration,
     work: impl Fn(usize, u64) -> u64 + Sync,
 ) -> ThroughputReport {
-    run_for_collect(threads, duration, |_| (), |t, iter, ()| work(t, iter)).0
-}
-
-/// Like [`run_for`], but each worker owns a mutable state value built by
-/// `init(t)` — a latency-sample buffer, an RNG, a leased session — that
-/// `work` threads through every iteration. The final states come back
-/// next to the report so callers can aggregate whatever the workers
-/// recorded (the `wal` bench collects per-commit latency samples this
-/// way).
-pub fn run_for_collect<T: Send>(
-    threads: usize,
-    duration: Duration,
-    init: impl Fn(usize) -> T + Sync,
-    work: impl Fn(usize, u64, &mut T) -> u64 + Sync,
-) -> (ThroughputReport, Vec<T>) {
     let stop = AtomicBool::new(false);
     let start = Instant::now();
-    let (per_thread, states) = std::thread::scope(|s| {
+    let per_thread = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let stop = &stop;
                 let work = &work;
-                let init = &init;
                 s.spawn(move || {
-                    let mut state = init(t);
                     let mut ops = 0u64;
                     let mut iter = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        ops += work(t, iter, &mut state);
+                        ops += work(t, iter);
                         iter += 1;
                     }
-                    (ops, state)
+                    ops
                 })
             })
             .collect();
@@ -86,22 +69,12 @@ pub fn run_for_collect<T: Send>(
             std::thread::sleep(Duration::from_millis(1).min(duration));
         }
         stop.store(true, Ordering::Relaxed);
-        let mut ops = Vec::with_capacity(threads);
-        let mut states = Vec::with_capacity(threads);
-        for h in handles {
-            let (o, state) = h.join().unwrap();
-            ops.push(o);
-            states.push(state);
-        }
-        (ops, states)
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    (
-        ThroughputReport {
-            elapsed: start.elapsed(),
-            per_thread,
-        },
-        states,
-    )
+    ThroughputReport {
+        elapsed: start.elapsed(),
+        per_thread,
+    }
 }
 
 #[cfg(test)]
@@ -134,27 +107,5 @@ mod tests {
     fn ops_accumulate_from_return_value() {
         let report = run_for(1, Duration::from_millis(20), |_, _| 10);
         assert_eq!(report.total_ops() % 10, 0);
-    }
-
-    #[test]
-    fn collect_returns_per_worker_state() {
-        let (report, states) = run_for_collect(
-            2,
-            Duration::from_millis(20),
-            |t| vec![t as u64],
-            |_, iter, samples: &mut Vec<u64>| {
-                samples.push(iter);
-                1
-            },
-        );
-        assert_eq!(states.len(), 2);
-        for (t, samples) in states.iter().enumerate() {
-            assert_eq!(samples[0], t as u64, "init state survives");
-            assert_eq!(
-                samples.len() as u64 - 1,
-                report.per_thread[t],
-                "one sample per counted op"
-            );
-        }
     }
 }

@@ -11,21 +11,14 @@
 //!   frequencies and document lengths, substituting for the Wikipedia dump
 //!   in the Table 3 inverted-index experiment (see DESIGN.md);
 //! * [`harness`] — time-boxed multi-threaded throughput measurement with
-//!   per-thread counters and Mop/s reporting;
-//! * [`oversub`] — the session-pool oversubscription workload: more
-//!   client threads than pool capacity, open- or closed-loop arrivals,
-//!   acquire-wait tail-latency percentiles.
+//!   per-thread counters and Mop/s reporting.
 
 pub mod corpus;
 pub mod harness;
-pub mod oversub;
 pub mod ycsb;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusConfig, Document};
-pub use harness::{run_for, run_for_collect, ThroughputReport};
-pub use oversub::{
-    run_oversubscribed, run_oversubscribed_with, Arrivals, LatencySummary, OversubReport,
-};
+pub use harness::{run_for, ThroughputReport};
 pub use ycsb::{Mix, Op, YcsbConfig, YcsbGenerator};
 pub use zipf::{ScrambledZipf, Zipf};

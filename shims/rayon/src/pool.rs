@@ -27,7 +27,7 @@
 //! [`shutdown`] stops and joins every worker (see [`live_workers`]) and
 //! returns the global slot to "uninitialized": the next `join` builds a
 //! fresh pool. [`set_pool_threads`] does the same and overrides the
-//! worker count — benches use it to sweep 1/2/4/`nproc` in-process.
+//! worker count — tests use it to sweep worker counts in-process.
 //! Blocked `join`s survive a concurrent shutdown: a caller that cannot
 //! find its stolen half simply executes the job itself once the queues
 //! drain, so no job is ever abandoned.

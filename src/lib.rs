@@ -33,9 +33,10 @@
 //! `ARCHITECTURE.md` at the repository root draws the full layer map
 //! (arena → version maintenance → trees → transactions → WAL/network),
 //! crosswalks every module to the paper's algorithms and sections, and
-//! names the invariant each boundary keeps; `BENCH.md` documents the
-//! recorded `BENCH_*.json` benchmark corpus. Start there when you need
-//! the system-wide picture rather than one crate's contract.
+//! names the invariant each boundary keeps; `benchmark/README.md`
+//! documents the system benchmark that `BENCHMARK.json` declares. Start
+//! there when you need the system-wide picture rather than one crate's
+//! contract.
 //!
 //! ## Quickstart
 //!
