@@ -11,17 +11,14 @@
 //!   deferred-compaction simplification; the YCSB mixes of Figure 7 never
 //!   delete.
 
-use parking_lot::{ArcRwLockReadGuard, ArcRwLockWriteGuard, RawRwLock, RwLock};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::ConcurrentMap;
+use crate::{read, write, ConcurrentMap};
 
 /// Maximum keys per node; nodes split when they reach this.
 const MAX_KEYS: usize = 31;
 
 type NodeRef = Arc<RwLock<Node>>;
-type WriteGuard = ArcRwLockWriteGuard<RawRwLock, Node>;
-type ReadGuard = ArcRwLockReadGuard<RawRwLock, Node>;
 
 enum Node {
     Internal {
@@ -57,6 +54,11 @@ impl Node {
 }
 
 /// Concurrent B+tree over `u64 -> u64`.
+///
+/// Each descent is a recursion over borrowed guards, one frame per level:
+/// a frame clones the child's `Arc` into a local, locks the child, and
+/// only then drops its own guard and recurses. So at most two nodes are
+/// locked at once, and the depth is the tree's height.
 pub struct BPlusTree {
     /// Lock order: the root holder first, then nodes top-down.
     root: RwLock<NodeRef>,
@@ -118,115 +120,114 @@ impl BPlusTree {
         (sep, right)
     }
 
-    /// Write-lock the root, growing the tree if the root is full, and
-    /// return (node, guard) with the root holder already released.
-    fn lock_root_for_write(&self, key: u64) -> (NodeRef, WriteGuard) {
-        let mut holder = self.root.write();
-        let mut cur = holder.clone();
-        let mut guard = cur.write_arc();
-        if guard.is_full() {
-            // Grow: fresh internal root over the old one, split the old.
-            let mut new_root = Node::Internal {
-                keys: Vec::new(),
-                children: vec![cur.clone()],
-            };
-            let (sep, right) = Self::split_child(&mut new_root, 0, &mut guard);
-            let new_ref = Arc::new(RwLock::new(new_root));
-            *holder = new_ref.clone();
-            if key >= sep {
-                drop(guard);
-                cur = right;
-                guard = cur.write_arc();
+    fn get_in(node: RwLockReadGuard<'_, Node>, key: u64) -> Option<u64> {
+        match &*node {
+            Node::Leaf { keys, vals } => keys.binary_search(&key).ok().map(|i| vals[i]),
+            Node::Internal { keys, children } => {
+                let child = Arc::clone(&children[Node::child_index(keys, key)]);
+                let child_guard = read(&child);
+                drop(node);
+                Self::get_in(child_guard, key)
             }
-            // else: keep descending into the old (now half) root.
-            let _ = new_ref;
         }
-        drop(holder);
-        (cur, guard)
+    }
+
+    /// `node` is non-full, so splitting a full child cannot overflow it.
+    fn insert_in(mut node: RwLockWriteGuard<'_, Node>, key: u64, value: u64) -> bool {
+        let (idx, child) = match &mut *node {
+            Node::Leaf { keys, vals } => {
+                return match keys.binary_search(&key) {
+                    Ok(i) => {
+                        vals[i] = value;
+                        false
+                    }
+                    Err(i) => {
+                        keys.insert(i, key);
+                        vals.insert(i, value);
+                        true
+                    }
+                };
+            }
+            Node::Internal { keys, children } => {
+                let idx = Node::child_index(keys, key);
+                (idx, Arc::clone(&children[idx]))
+            }
+        };
+        let right: NodeRef;
+        let mut child_guard = write(&child);
+        // Preemptive split keeps every descended-into child non-full.
+        if child_guard.is_full() {
+            let sep;
+            (sep, right) = Self::split_child(&mut node, idx, &mut child_guard);
+            if key >= sep {
+                drop(child_guard);
+                child_guard = write(&right);
+            }
+        }
+        drop(node);
+        Self::insert_in(child_guard, key, value)
+    }
+
+    fn remove_in(mut node: RwLockWriteGuard<'_, Node>, key: u64) -> bool {
+        let child = match &mut *node {
+            Node::Leaf { keys, vals } => {
+                let Ok(i) = keys.binary_search(&key) else {
+                    return false;
+                };
+                keys.remove(i);
+                vals.remove(i);
+                return true;
+            }
+            Node::Internal { keys, children } => {
+                Arc::clone(&children[Node::child_index(keys, key)])
+            }
+        };
+        let child_guard = write(&child);
+        drop(node);
+        Self::remove_in(child_guard, key)
     }
 }
 
 impl ConcurrentMap for BPlusTree {
     fn get(&self, key: u64) -> Option<u64> {
-        let holder = self.root.read();
-        let cur = holder.clone();
-        let mut guard: ReadGuard = cur.read_arc();
+        let holder = read(&self.root);
+        let root = Arc::clone(&holder);
+        let guard = read(&root);
         drop(holder);
-        loop {
-            match &*guard {
-                Node::Leaf { keys, vals } => {
-                    return keys.binary_search(&key).ok().map(|i| vals[i]);
-                }
-                Node::Internal { keys, children } => {
-                    let idx = Node::child_index(keys, key);
-                    let child = children[idx].clone();
-                    let next = child.read_arc();
-                    guard = next; // parent guard drops here (coupling)
-                }
-            }
-        }
+        Self::get_in(guard, key)
     }
 
     fn insert(&self, key: u64, value: u64) -> bool {
-        let (_cur, mut guard) = self.lock_root_for_write(key);
-        loop {
-            // Preemptive split keeps every descended-into child non-full.
-            let child_ref = match &mut *guard {
-                Node::Leaf { keys, vals } => match keys.binary_search(&key) {
-                    Ok(i) => {
-                        vals[i] = value;
-                        return false;
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        vals.insert(i, value);
-                        return true;
-                    }
-                },
-                Node::Internal { keys, children } => {
-                    let idx = Node::child_index(keys, key);
-                    children[idx].clone()
-                }
+        let right: NodeRef;
+        let mut holder = write(&self.root);
+        let root = Arc::clone(&holder);
+        let mut guard = write(&root);
+        if guard.is_full() {
+            // Grow: a fresh internal root over the old one, which splits.
+            // The holder stays locked until the half `key` belongs in is
+            // locked too.
+            let mut new_root = Node::Internal {
+                keys: Vec::new(),
+                children: vec![Arc::clone(&root)],
             };
-            let mut child_guard = child_ref.write_arc();
-            if child_guard.is_full() {
-                let idx = match &*guard {
-                    Node::Internal { keys, .. } => Node::child_index(keys, key),
-                    Node::Leaf { .. } => unreachable!(),
-                };
-                let (sep, right) = Self::split_child(&mut guard, idx, &mut child_guard);
-                if key >= sep {
-                    drop(child_guard);
-                    child_guard = right.write_arc();
-                }
+            let sep;
+            (sep, right) = Self::split_child(&mut new_root, 0, &mut guard);
+            *holder = Arc::new(RwLock::new(new_root));
+            if key >= sep {
+                drop(guard);
+                guard = write(&right);
             }
-            guard = child_guard; // release the parent, descend
         }
+        drop(holder);
+        Self::insert_in(guard, key, value)
     }
 
     fn remove(&self, key: u64) -> bool {
-        let holder = self.root.read();
-        let cur = holder.clone();
-        let mut guard: WriteGuard = cur.write_arc();
+        let holder = read(&self.root);
+        let root = Arc::clone(&holder);
+        let guard = write(&root);
         drop(holder);
-        loop {
-            let child_ref = match &mut *guard {
-                Node::Leaf { keys, vals } => match keys.binary_search(&key) {
-                    Ok(i) => {
-                        keys.remove(i);
-                        vals.remove(i);
-                        return true;
-                    }
-                    Err(_) => return false,
-                },
-                Node::Internal { keys, children } => {
-                    let idx = Node::child_index(keys, key);
-                    children[idx].clone()
-                }
-            };
-            let next = child_ref.write_arc();
-            guard = next;
-        }
+        Self::remove_in(guard, key)
     }
 
     fn name(&self) -> &'static str {

@@ -31,8 +31,19 @@ pub use bst::LockFreeBst;
 pub use btree::BPlusTree;
 pub use skiplist::LazySkipList;
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+// No critical section in these maps panics unless an invariant is
+// already broken, so a poisoned lock is taken as it is.
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Uniform interface for the Figure 7 structures: an ordered map from
 /// `u64` to `u64` safe for concurrent use.
@@ -62,15 +73,15 @@ impl CoarseMap {
 
 impl ConcurrentMap for CoarseMap {
     fn get(&self, key: u64) -> Option<u64> {
-        self.inner.read().get(&key).copied()
+        read(&self.inner).get(&key).copied()
     }
 
     fn insert(&self, key: u64, value: u64) -> bool {
-        self.inner.write().insert(key, value).is_none()
+        write(&self.inner).insert(key, value).is_none()
     }
 
     fn remove(&self, key: u64) -> bool {
-        self.inner.write().remove(&key).is_some()
+        write(&self.inner).remove(&key).is_some()
     }
 
     fn name(&self) -> &'static str {

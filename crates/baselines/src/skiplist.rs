@@ -13,8 +13,8 @@
 //! unlinked nodes are parked in a graveyard and reclaimed when the skiplist
 //! drops.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::ConcurrentMap;
 
@@ -329,7 +329,10 @@ impl ConcurrentMap for LazySkipList {
                     (*p).lock.unlock();
                 }
             }
-            self.graveyard.lock().push(victim);
+            self.graveyard
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(victim);
             self.len.fetch_sub(1, Ordering::Relaxed);
             return true;
         }
@@ -354,7 +357,12 @@ impl Drop for LazySkipList {
                 cur = next;
             }
             // ...and the deferred graveyard.
-            for p in self.graveyard.get_mut().drain(..) {
+            for p in self
+                .graveyard
+                .get_mut()
+                .unwrap_or_else(|e| e.into_inner())
+                .drain(..)
+            {
                 drop(Box::from_raw(p));
             }
         }

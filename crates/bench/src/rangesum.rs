@@ -9,6 +9,7 @@
 //! from HP/EP.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use mvcc_core::Database;
@@ -76,13 +77,13 @@ fn run_vm(cfg: RangeSumConfig, kind: VmKind) -> RangeSumResult {
     // One session per worker, parked behind an (uncontended) mutex: the
     // harness closure is shared across threads but worker `t` is the
     // only locker of slot `t`.
-    let sessions: Vec<parking_lot::Mutex<mvcc_core::Session<'_, SumU64Map, _>>> = (0..threads)
-        .map(|_| parking_lot::Mutex::new(db.session().expect("one pid per worker")))
+    let sessions: Vec<Mutex<mvcc_core::Session<'_, SumU64Map, _>>> = (0..threads)
+        .map(|_| Mutex::new(db.session().expect("one pid per worker")))
         .collect();
 
     let report = run_for(threads, Duration::from_secs_f64(cfg.secs), |t, iter| {
         let mut rng = SmallRng::seed_from_u64((t as u64) << 32 | (iter & 0xFFFF_FFFF));
-        let mut session = sessions[t].lock();
+        let mut session = sessions[t].lock().unwrap_or_else(|e| e.into_inner());
         if t == 0 {
             // Writer: sample live versions, then commit nu insertions.
             max_versions.fetch_max(db.live_versions(), Ordering::Relaxed);
@@ -125,7 +126,7 @@ fn run_base(cfg: RangeSumConfig) -> RangeSumResult {
     let writer_ops = AtomicU64::new(0);
     // The writer owns a private chain starting from the snapshot.
     forest.retain(preloaded);
-    let writer_root = std::sync::Mutex::new(preloaded);
+    let writer_root = Mutex::new(preloaded);
 
     let report = run_for(
         cfg.readers + 1,

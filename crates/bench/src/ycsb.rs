@@ -2,9 +2,8 @@
 //! tree versus the concurrent baselines on workloads A/B/C.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use mvcc_baselines::ConcurrentMap;
 use mvcc_core::{BatchWriter, Database, MapOp};
@@ -46,7 +45,7 @@ pub fn run_baseline(
         })
         .collect();
     let report = run_for(threads, Duration::from_secs_f64(secs), |t, _iter| {
-        let mut slot = gens[t].lock();
+        let mut slot = gens[t].lock().unwrap_or_else(|e| e.into_inner());
         let (rng, gen) = &mut *slot;
         let mut done = 0u64;
         for _ in 0..CHUNK {
@@ -108,7 +107,7 @@ pub fn run_ours(mix: Mix, keyspace: u64, threads: usize, secs: f64) -> f64 {
             })
             .collect();
         let report = run_for(threads, Duration::from_secs_f64(secs), |t, _iter| {
-            let mut slot = gens[t].lock();
+            let mut slot = gens[t].lock().unwrap_or_else(|e| e.into_inner());
             let (rng, gen, session) = &mut *slot;
             let mut done = 0u64;
             for _ in 0..CHUNK {

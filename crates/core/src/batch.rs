@@ -13,9 +13,10 @@
 //! producer wait until its operations are durable in a committed version
 //! (bounded latency, §7.2 uses 50 ms batches).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use crossbeam::queue::ArrayQueue;
 use mvcc_ftree::TreeParams;
 use mvcc_vm::VersionMaintenance;
 use mvcc_wal::WalCodec;
@@ -92,7 +93,9 @@ pub struct Ticket {
 }
 
 struct Buffer<P: TreeParams> {
-    queue: ArrayQueue<MapOp<P>>,
+    /// Pending operations, oldest first; never more than the writer's
+    /// `capacity`.
+    queue: Mutex<VecDeque<MapOp<P>>>,
     /// Total operations ever pushed (producer-side sequence).
     pushed: AtomicU64,
     /// Total operations applied in committed versions (combiner-side).
@@ -102,6 +105,14 @@ struct Buffer<P: TreeParams> {
     durable: AtomicU64,
 }
 
+impl<P: TreeParams> Buffer<P> {
+    /// The pending queue. No critical section can panic part-way
+    /// through a `VecDeque` update, so a poisoned queue is still whole.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<MapOp<P>>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// The Appendix F combining writer for a [`crate::Database`].
 ///
 /// `producers` independent submitters (indexed `0..producers`, each used
@@ -109,6 +120,7 @@ struct Buffer<P: TreeParams> {
 /// [`BatchWriter::combine`] with its own leased [`Session`].
 pub struct BatchWriter<P: TreeParams> {
     buffers: Vec<Buffer<P>>,
+    capacity: usize,
 }
 
 impl<P: TreeParams> BatchWriter<P> {
@@ -119,12 +131,13 @@ impl<P: TreeParams> BatchWriter<P> {
         BatchWriter {
             buffers: (0..producers)
                 .map(|_| Buffer {
-                    queue: ArrayQueue::new(capacity),
+                    queue: Mutex::new(VecDeque::with_capacity(capacity)),
                     pushed: AtomicU64::new(0),
                     applied: AtomicU64::new(0),
                     durable: AtomicU64::new(0),
                 })
                 .collect(),
+            capacity,
         }
     }
 
@@ -136,7 +149,7 @@ impl<P: TreeParams> BatchWriter<P> {
     /// Operations currently waiting in `producer`'s buffer (a racy
     /// snapshot — combiner pacing, not synchronization).
     pub fn pending(&self, producer: usize) -> usize {
-        self.buffers[producer].queue.len()
+        self.buffers[producer].queue().len()
     }
 
     /// Submit an operation from `producer`. Non-blocking; returns a ticket
@@ -144,13 +157,13 @@ impl<P: TreeParams> BatchWriter<P> {
     /// full.
     pub fn submit(&self, producer: usize, op: MapOp<P>) -> Result<Ticket, SubmitError<P>> {
         let buf = &self.buffers[producer];
-        match buf.queue.push(op) {
-            Ok(()) => {
-                let seq = buf.pushed.fetch_add(1, Ordering::Relaxed) + 1;
-                Ok(Ticket { producer, seq })
-            }
-            Err(op) => Err(SubmitError(op)),
+        let mut queue = buf.queue();
+        if queue.len() == self.capacity {
+            return Err(SubmitError(op));
         }
+        queue.push_back(op);
+        let seq = buf.pushed.fetch_add(1, Ordering::Relaxed) + 1;
+        Ok(Ticket { producer, seq })
     }
 
     /// Submit, spinning until buffer space frees up (producers outpacing
@@ -209,44 +222,29 @@ impl<P: TreeParams> BatchWriter<P> {
     /// pending.
     fn drain_resolve(&self) -> Option<DrainedBatch<P>> {
         let mut per_producer: Vec<(usize, u64)> = Vec::with_capacity(self.buffers.len());
-        let mut drained: Vec<Vec<MapOp<P>>> = Vec::with_capacity(self.buffers.len());
+        let mut resolved: BTreeMap<P::K, Option<P::V>> = BTreeMap::new();
+        let mut ops = Vec::new();
         let mut total = 0usize;
         for (i, buf) in self.buffers.iter().enumerate() {
-            let n = buf.queue.len();
-            if n == 0 {
+            // One lock, one drain of what it observed: ops submitted
+            // after it belong to the next batch (bounded latency).
+            ops.extend(buf.queue().drain(..));
+            if ops.is_empty() {
                 continue;
-            }
-            let mut ops = Vec::with_capacity(n);
-            // Only pop what we observed: ops submitted during the drain
-            // belong to the next batch (bounded latency).
-            for _ in 0..n {
-                match buf.queue.pop() {
-                    Some(op) => ops.push(op),
-                    None => break,
-                }
             }
             total += ops.len();
             per_producer.push((i, ops.len() as u64));
-            drained.push(ops);
+            for op in ops.drain(..) {
+                match op {
+                    MapOp::Insert(k, v) => resolved.insert(k, Some(v)),
+                    MapOp::Remove(k) => resolved.insert(k, None),
+                };
+            }
         }
         if total == 0 {
             return None;
         }
 
-        let mut resolved: std::collections::BTreeMap<P::K, Option<P::V>> =
-            std::collections::BTreeMap::new();
-        for ops in &drained {
-            for op in ops {
-                match op {
-                    MapOp::Insert(k, v) => {
-                        resolved.insert(k.clone(), Some(v.clone()));
-                    }
-                    MapOp::Remove(k) => {
-                        resolved.insert(k.clone(), None);
-                    }
-                }
-            }
-        }
         let mut inserts: Vec<(P::K, P::V)> = Vec::new();
         let mut removes: Vec<P::K> = Vec::new();
         for (k, v) in resolved {

@@ -186,7 +186,6 @@ mod tests {
     /// The wake-pipe protocol: a push pays for a byte only when the loop
     /// has announced a block, once per announcement; and the loop never
     /// blocks past an id that is already in the set.
-    #[cfg(target_os = "linux")]
     #[test]
     fn only_a_parked_loop_is_owed_a_byte() {
         use crate::readiness::{wait, PollFd};

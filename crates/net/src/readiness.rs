@@ -3,11 +3,10 @@
 //!
 //! The server loop hands [`wait`] a set of [`PollFd`]s and a timeout and
 //! gets back which of them can move. Everything platform-specific lives
-//! here: on 64-bit Linux and Android the wait is a direct `extern "C"`
-//! call into the libc `std` already links (no new dependency); anywhere
-//! else [`wait`] never blocks and reports every source ready, which
-//! degrades the loop to a paced scan of nonblocking sockets without
-//! giving it a second code path.
+//! here: the wait is a direct `extern "C"` call into the libc `std`
+//! already links (no new dependency), over kernel structs declared by
+//! hand for 64-bit Linux and Android — the only targets this crate
+//! builds for.
 //!
 //! [`WakePipe`] is how another thread ends a wait early: a nonblocking
 //! socket pair whose read end sits in every wait set. Who writes to it,
@@ -20,7 +19,7 @@ pub use sys::{wait, PollFd, Source, WakePipe};
 /// Lower the calling thread's timer slack to `slack` for as long as the
 /// returned guard lives (Linux rounds every sleep and poll timeout up by
 /// the slack, 50 µs by default — more than the naps the server loop
-/// takes). A no-op where the kernel has no such knob.
+/// takes). A no-op if the kernel refuses the knob.
 pub fn timer_slack(slack: Duration) -> TimerSlack {
     TimerSlack {
         restore: sys::swap_timer_slack(slack.as_nanos() as u64),
@@ -41,10 +40,14 @@ impl Drop for TimerSlack {
     }
 }
 
-#[cfg(all(
+// The kernel structs in `sys` are declared by hand for the 64-bit Linux
+// ABI; a fallback for other targets would be code no CI compiles or runs.
+#[cfg(not(all(
     any(target_os = "linux", target_os = "android"),
     target_pointer_width = "64"
-))]
+)))]
+compile_error!("mvcc-net's readiness wait is ppoll(2) on 64-bit Linux or Android only");
+
 mod sys {
     use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
     use std::io::{self, Read, Write};
@@ -90,6 +93,14 @@ mod sys {
         events: c_short,
         revents: c_short,
     }
+
+    // The kernel reads and writes these through raw pointers.
+    const _: () = {
+        assert!(std::mem::size_of::<PollFd>() == 8);
+        assert!(std::mem::offset_of!(PollFd, events) == 4);
+        assert!(std::mem::offset_of!(PollFd, revents) == 6);
+        assert!(std::mem::size_of::<Timespec>() == 16);
+    };
 
     impl PollFd {
         /// Ask whether `source` can be read and/or written. The entry
@@ -275,53 +286,5 @@ mod sys {
             }
             assert_eq!(swap_timer_slack(before), Some(50_000));
         }
-    }
-}
-
-#[cfg(not(all(
-    any(target_os = "linux", target_os = "android"),
-    target_pointer_width = "64"
-)))]
-mod sys {
-    use std::io;
-    use std::time::Duration;
-
-    /// No readiness source here: every socket counts as one.
-    pub trait Source {}
-    impl<T> Source for T {}
-
-    #[derive(Debug, Clone, Copy)]
-    pub struct PollFd(bool);
-
-    impl PollFd {
-        pub fn new(_source: &impl Source, read: bool, _write: bool) -> PollFd {
-            PollFd(read)
-        }
-        pub fn readable(&self) -> bool {
-            self.0
-        }
-    }
-
-    /// Report everything asked about as ready: the nonblocking sockets
-    /// sort out which of them really are. The caller never blocks, and
-    /// paces itself.
-    pub fn wait(fds: &mut [PollFd], _timeout: Duration) -> io::Result<usize> {
-        Ok(fds.len())
-    }
-
-    pub(super) fn swap_timer_slack(_ns: u64) -> Option<u64> {
-        None
-    }
-
-    /// Nothing blocks for longer than a nap, so nothing needs waking.
-    #[derive(Debug)]
-    pub struct WakePipe;
-
-    impl WakePipe {
-        pub fn new() -> io::Result<WakePipe> {
-            Ok(WakePipe)
-        }
-        pub fn wake(&self) {}
-        pub fn drain(&self) {}
     }
 }

@@ -63,9 +63,7 @@ use core::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ord
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 
-use crossbeam::utils::CachePadded;
-
-use crate::{NodeId, OptNodeId, Tuple};
+use crate::{CachePadded, NodeId, OptNodeId, Tuple};
 
 /// log2 of the first chunk's slot count.
 const BASE_BITS: u32 = 10;

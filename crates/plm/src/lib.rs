@@ -96,3 +96,36 @@ impl<T: Send + Sync + 'static> Tuple for Leaf<T> {
     #[inline]
     fn for_each_child(&self, _f: &mut dyn FnMut(NodeId)) {}
 }
+
+/// Pads and aligns a value to 128 bytes so neighbouring values never
+/// share a cache line (two lines, to defeat adjacent-line prefetch).
+///
+/// The arena's shards and the SNZI's nodes here, and `mvcc-vm`'s
+/// per-process announcement slots above, each sit in one of these.
+#[repr(align(128))]
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    /// Wrap a value.
+    pub const fn new(value: T) -> Self {
+        CachePadded(value)
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+const _: () = {
+    assert!(std::mem::align_of::<CachePadded<u8>>() == 128);
+    assert!(std::mem::size_of::<CachePadded<std::sync::atomic::AtomicU64>>() == 128);
+};

@@ -35,7 +35,7 @@
 //! reference-counting use case only needs the two properties above, so
 //! the root here is a plain counter.)
 
-use crossbeam::utils::CachePadded;
+use crate::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------

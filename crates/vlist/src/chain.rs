@@ -9,7 +9,9 @@
 //! and every read reports it so benches can plot delay against the
 //! number of uncollected versions.
 
-use parking_lot::RwLock;
+use std::sync::RwLock;
+
+use crate::{read, write};
 
 /// One object's version list, stored oldest first (newest at the back)
 /// so installing a version is an amortized O(1) `push` instead of the
@@ -38,7 +40,7 @@ impl<V: Clone> VersionChain<V> {
     /// Append a version. `ts` must be at least the current newest
     /// timestamp (commit timestamps are handed out monotonically).
     pub fn install(&self, ts: u64, value: Option<V>) {
-        let mut g = self.versions.write();
+        let mut g = write(&self.versions);
         debug_assert!(
             g.last().is_none_or(|head| head.0 <= ts),
             "version timestamps must be installed in increasing order"
@@ -54,7 +56,7 @@ impl<V: Clone> VersionChain<V> {
     /// list — the hop count is the delay being measured, so no binary
     /// search shortcut here.
     pub fn read_at(&self, ts: u64) -> (Option<V>, u64) {
-        let g = self.versions.read();
+        let g = read(&self.versions);
         let mut hops = 0;
         for (vts, value) in g.iter().rev() {
             hops += 1;
@@ -67,18 +69,18 @@ impl<V: Clone> VersionChain<V> {
 
     /// The newest version's value (tombstones resolve to `None`).
     pub fn latest(&self) -> Option<V> {
-        self.versions.read().last().and_then(|(_, v)| v.clone())
+        read(&self.versions).last().and_then(|(_, v)| v.clone())
     }
 
     /// Number of versions currently in the chain.
     pub fn len(&self) -> usize {
-        self.versions.read().len()
+        read(&self.versions).len()
     }
 
     /// True if the chain holds no versions (only possible after a prune
     /// that found the whole chain dead).
     pub fn is_empty(&self) -> bool {
-        self.versions.read().is_empty()
+        read(&self.versions).is_empty()
     }
 
     /// Scan-based pruning against `horizon` (the oldest timestamp any
@@ -91,7 +93,7 @@ impl<V: Clone> VersionChain<V> {
     /// of how little it frees, which is exactly the cost profile the
     /// paper's precise collector avoids (Theorem 4.2: `O(freed + 1)`).
     pub fn prune(&self, horizon: u64) -> (u64, u64) {
-        let mut g = self.versions.write();
+        let mut g = write(&self.versions);
         let scanned = g.len() as u64;
         // Count of versions with ts <= horizon (the chain is sorted
         // ascending); the boundary version is the newest of them.

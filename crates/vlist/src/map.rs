@@ -5,10 +5,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
+
+use mvcc_plm::CachePadded;
 
 use crate::chain::VersionChain;
+use crate::{lock, read, write};
 
 /// Sentinel announcement meaning "process has no active read".
 const INACTIVE: u64 = u64::MAX;
@@ -134,7 +136,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
     /// Point lookup that also reports the version-chain hops this read
     /// paid — the per-read "extra delay" of the version-list design.
     pub fn get_at_counted(&self, ticket: &ReadTicket, key: u64) -> (Option<V>, u64) {
-        let Some(chain) = self.index.read().get(&key).cloned() else {
+        let Some(chain) = read(&self.index).get(&key).cloned() else {
             return (None, 0);
         };
         let (value, hops) = chain.read_at(ticket.ts);
@@ -156,7 +158,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
         mut f: impl FnMut(A, u64, V) -> A,
     ) -> A {
         let chains: Vec<(u64, Arc<VersionChain<V>>)> = {
-            let g = self.index.read();
+            let g = read(&self.index);
             g.range(lo..hi).map(|(k, c)| (*k, Arc::clone(c))).collect()
         };
         let mut acc = init;
@@ -178,7 +180,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
 
     /// The newest committed value for `key` (no snapshot semantics).
     pub fn get_latest(&self, key: u64) -> Option<V> {
-        self.index.read().get(&key)?.latest()
+        read(&self.index).get(&key)?.latest()
     }
 
     // ---- write side (single-writer) -------------------------------------
@@ -201,16 +203,15 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
     }
 
     fn insert_many_impl(&self, pairs: impl Iterator<Item = (u64, Option<V>)>) {
-        let _g = self.writer.lock();
+        let _g = lock(&self.writer);
         let ts = self.commit_ts.load(SeqCst) + 1;
         let mut count = 0u64;
         for (key, value) in pairs {
-            let chain = self.index.read().get(&key).cloned();
+            let chain = read(&self.index).get(&key).cloned();
             match chain {
                 Some(chain) => chain.install(ts, value),
                 None => {
-                    self.index
-                        .write()
+                    write(&self.index)
                         .entry(key)
                         .or_insert_with(|| Arc::new(VersionChain::new(ts, value)));
                 }
@@ -235,7 +236,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
     ///
     /// Returns `(scanned, freed)`.
     pub fn vacuum(&self) -> (u64, u64) {
-        let _g = self.writer.lock();
+        let _g = lock(&self.writer);
         // Load the cap FIRST, then scan announcements; see begin_read's
         // validate loop for why this order makes the pair safe.
         let mut horizon = self.commit_ts.load(SeqCst);
@@ -243,7 +244,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
             horizon = horizon.min(slot.load(SeqCst));
         }
         let chains: Vec<(u64, Arc<VersionChain<V>>)> = {
-            let g = self.index.read();
+            let g = read(&self.index);
             g.iter().map(|(k, c)| (*k, Arc::clone(c))).collect()
         };
         let mut scanned = 0;
@@ -258,7 +259,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
             }
         }
         if !dead_keys.is_empty() {
-            let mut g = self.index.write();
+            let mut g = write(&self.index);
             for key in dead_keys {
                 // Only unlink if still empty (no new version raced in —
                 // it cannot have, the writer lock is held — but stay
@@ -280,7 +281,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
     /// Current counters; `live_versions` is computed by a full scan.
     pub fn stats(&self) -> VlistStats {
         let live: u64 = {
-            let g = self.index.read();
+            let g = read(&self.index);
             g.values().map(|c| c.len() as u64).sum()
         };
         VlistStats {
@@ -298,7 +299,7 @@ impl<V: Clone + Send + Sync> VersionListMap<V> {
 
     /// Number of keys currently indexed.
     pub fn keys(&self) -> usize {
-        self.index.read().len()
+        read(&self.index).len()
     }
 
     /// The current commit timestamp.

@@ -22,9 +22,9 @@
 //! observe a version newer than anything the advance frees. Limbo-bag
 //! contents synchronize through the bag mutex.
 
-use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
+use mvcc_plm::CachePadded;
 use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::counter::VersionCounter;
 use crate::ordering::{
@@ -80,6 +80,14 @@ impl EpochVm {
             counter: VersionCounter::with_initial(),
         }
     }
+
+    /// The limbo bag of epoch `e`. A bag holds only retired tokens, so
+    /// one left poisoned by a panicking holder is still whole.
+    fn bag(&self, e: u64) -> MutexGuard<'_, Vec<u64>> {
+        self.limbo[(e % 3) as usize]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl VersionMaintenance for EpochVm {
@@ -112,7 +120,7 @@ impl VersionMaintenance for EpochVm {
         {
             self.counter.created();
             let e = self.epoch.load(CLOCK_LOAD);
-            self.limbo[(e % 3) as usize].lock().push(old);
+            self.bag(e).push(old);
             unsafe { self.proc.with(k, |p| p.try_advance = true) };
             true
         } else {
@@ -156,7 +164,7 @@ impl VersionMaintenance for EpochVm {
             // Epoch e+1 begins; versions retired in epoch e-2 (which lives
             // in the bag that epoch e+1 will reuse) are unreachable now:
             // every in-flight transaction announced epoch >= e-1... >= e.
-            let mut bag = self.limbo[((e + 1) % 3) as usize].lock();
+            let mut bag = self.bag(e + 1);
             self.counter.collected(bag.len() as u64);
             out.append(&mut *bag);
         }

@@ -21,7 +21,7 @@
 //! other traffic is plain acquire/release ([`VERSION_CAS`] /
 //! [`VERSION_LOAD`] / [`ANNOUNCE_CLEAR`]).
 
-use crossbeam::utils::CachePadded;
+use mvcc_plm::CachePadded;
 use std::sync::atomic::AtomicU64;
 
 use crate::counter::VersionCounter;

@@ -38,7 +38,7 @@
 //! retirement bump and retries. The birth-era word is a pure hint
 //! ([`BIRTH_HINT`]): stale reads only widen intervals.
 
-use crossbeam::utils::CachePadded;
+use mvcc_plm::CachePadded;
 use std::sync::atomic::AtomicU64;
 
 use crate::counter::VersionCounter;

@@ -52,7 +52,7 @@
 //! the data array `D` — a pure payload side-channel carried by those
 //! words — runs on the tunable [`DATA_SLOT`] role.
 
-use crossbeam::utils::CachePadded;
+use mvcc_plm::CachePadded;
 use std::sync::atomic::AtomicU64;
 
 use crate::counter::VersionCounter;

@@ -21,7 +21,7 @@
 //! version being reclaimed; a reader the scan waits for hands its
 //! critical section over through [`ANNOUNCE_CLEAR`]/[`SCAN_LOAD`].
 
-use crossbeam::utils::CachePadded;
+use mvcc_plm::CachePadded;
 use std::sync::atomic::AtomicU64;
 
 use crate::counter::VersionCounter;

@@ -1,7 +1,7 @@
 //! Per-process mutable state, exploiting the VM problem's contract that
 //! operations with the same process id never run concurrently.
 
-use crossbeam::utils::CachePadded;
+use mvcc_plm::CachePadded;
 use std::cell::UnsafeCell;
 
 /// A fixed array of per-process cells. Slot `k` may only be accessed by

@@ -168,6 +168,43 @@ fn readers_never_see_foreign_values() {
     }
 }
 
+/// Readers racing a writer whose fresh ascending keys keep splitting the
+/// rightmost nodes and growing the root: every key the writer has
+/// finished inserting is found. For the B+tree this is the coupling
+/// contract — a reader locks the child before it lets go of the parent,
+/// so no split can move its key out from under it.
+#[test]
+fn readers_find_every_key_while_splits_grow_the_tree() {
+    const KEYS: u64 = 8_000;
+    // Reads aim at the newest keys: they sit in the nodes splits move.
+    const WINDOW: u64 = 16;
+    for map in all_maps() {
+        let done = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in 0..KEYS {
+                    map.insert(k, k);
+                    done.store(k + 1, Ordering::Release);
+                }
+            });
+            for _ in 0..3 {
+                s.spawn(|| loop {
+                    let c = done.load(Ordering::Acquire);
+                    if c == KEYS {
+                        break;
+                    }
+                    if c == 0 {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    let k = c - 1 - fastrand_key(c.min(WINDOW));
+                    assert_eq!(map.get(k), Some(k), "{}: lost key {k} of {c}", map.name());
+                });
+            }
+        });
+    }
+}
+
 /// Insert/remove churn on a narrow hot range, with concurrent readers —
 /// hammers the structures' deletion paths (marks, merges, retries).
 #[test]

@@ -644,9 +644,6 @@ fn server_tick_drives_maintenance_hook_and_reports_health() {
 
 /// The readiness wait: where the loop blocks and what wakes it, read off
 /// the poll-loop counters in `ServerStats` rather than off the clock.
-/// Linux only: elsewhere `readiness::wait` cannot block and the loop
-/// degrades to a paced scan, which none of these bounds describe.
-#[cfg(target_os = "linux")]
 mod readiness_wait {
     use super::*;
 
