@@ -9,6 +9,16 @@
 //! regardless of concurrent allocation. A [`NodeId`] is a stable 4-byte
 //! index into this (global, shard-agnostic) id space.
 //!
+//! Each chunk is one anonymous memory mapping (`crate::pages`). Its
+//! zero fill *is* the free-slot state — metadata 0 (not occupied,
+//! generation 0), value uninitialized — so installing a chunk writes
+//! nothing, and only pages holding slots actually handed out are ever
+//! faulted in. A chunk of 2 MiB or more is mapped on a 2 MiB boundary
+//! and advised for transparent huge pages, so a large version is
+//! backed by a few dozen huge pages rather than thousands of 4 KiB
+//! ones and a tree descent takes fewer TLB misses; smaller chunks (all
+//! of a small arena's) stay plain mappings.
+//!
 //! ## Sharded allocation
 //!
 //! Every transactional write path-copies O(log n) tree nodes and precise
@@ -59,11 +69,13 @@
 //! generation field because the owner invariant guarantees
 //! `1 <= rc < 2^32` whenever an increment or decrement happens.
 
-use core::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::alloc::{handle_alloc_error, Layout};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
+use std::ptr::NonNull;
 
-use crate::{CachePadded, NodeId, OptNodeId, Tuple};
+use crate::{pages, CachePadded, NodeId, OptNodeId, Tuple};
 
 /// log2 of the first chunk's slot count.
 const BASE_BITS: u32 = 10;
@@ -107,18 +119,10 @@ fn chunk_len(chunk: usize) -> usize {
     (BASE as usize) << chunk
 }
 
+/// All-zero bytes are a free slot: metadata 0, value uninitialized.
 struct Slot<T> {
     meta: AtomicU64,
     value: UnsafeCell<MaybeUninit<T>>,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot {
-            meta: AtomicU64::new(0),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
 }
 
 /// One allocator shard. The whole struct is cache-padded where it is
@@ -136,10 +140,6 @@ struct Shard {
     /// their difference (see [`ArenaStats`]).
     allocated: AtomicU64,
     freed: AtomicU64,
-    /// High-water mark of `allocated - freed`, sampled only when an
-    /// allocation finds this shard's freelist empty — the one place a
-    /// new high can occur (see [`ArenaStats::peak_live`]).
-    peak_live: AtomicI64,
 }
 
 impl Shard {
@@ -150,7 +150,6 @@ impl Shard {
             refill_lock: AtomicBool::new(false),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            peak_live: AtomicI64::new(0),
         }
     }
 }
@@ -241,20 +240,9 @@ pub struct ArenaStats {
     /// Currently allocated (not yet freed) slots. Always *derived*:
     /// `allocated_total − freed_total` of this same snapshot (the arena
     /// keeps no separate live counter), so it is exact in quiescence and
-    /// within the in-flight calls of either total otherwise.
+    /// within the in-flight calls of either total otherwise. The arena
+    /// keeps no high-water mark: a caller that wants one samples this.
     pub live: u64,
-    /// Sum of the per-shard high-water marks of `allocs − frees`. A
-    /// shard samples its mark only when an allocation finds its own
-    /// freelist empty (fresh window, steal or refill): while recycled
-    /// slots are available the shard's balance is below what it was when
-    /// the last of them was first handed out, so no new high can occur
-    /// on the recycling path and it pays nothing for this statistic.
-    /// Exact when each shard's frees balance its allocs (the
-    /// affine/pinned pattern, and any single-threaded use); when frees
-    /// deliberately migrate to other shards the alloc-side shards' marks
-    /// never come down, so this inflates toward `allocated_total` and is
-    /// only a (possibly vacuous) upper bound.
-    pub peak_live: u64,
     /// Number of allocator shards.
     pub shards: u64,
 }
@@ -413,31 +401,33 @@ impl<T: Tuple> Arena<T> {
         self.chunks[chunk].load(Ordering::Acquire) as *mut Slot<T>
     }
 
+    /// The memory layout of chunk `chunk`'s slot array.
+    fn chunk_layout(chunk: usize) -> Layout {
+        Layout::array::<Slot<T>>(chunk_len(chunk)).expect("arena chunk exceeds the address space")
+    }
+
     /// Get (or lazily install) chunk `chunk`.
     fn ensure_chunk(&self, chunk: usize) -> *mut Slot<T> {
+        // Mappings are page-aligned, which covers any sane tuple.
+        const { assert!(align_of::<Slot<T>>() <= 4096) };
         let existing = self.chunk_ptr(chunk);
         if !existing.is_null() {
             return existing;
         }
-        // Build a fresh chunk. Slots are zeroed metadata + uninit values.
-        let len = chunk_len(chunk);
-        let mut v: Vec<Slot<T>> = Vec::with_capacity(len);
-        v.resize_with(len, Slot::new);
-        let boxed: Box<[Slot<T>]> = v.into_boxed_slice();
-        let ptr = Box::into_raw(boxed) as *mut Slot<T>;
+        // A fresh mapping reads as zeroes, which is every slot free.
+        let layout = Self::chunk_layout(chunk);
+        let ptr = pages::map_chunk(layout.size()).unwrap_or_else(|| handle_alloc_error(layout));
         match self.chunks[chunk].compare_exchange(
             0,
-            ptr as u64,
+            ptr.as_ptr() as u64,
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
-            Ok(_) => ptr,
+            Ok(_) => ptr.as_ptr().cast(),
             Err(winner) => {
-                // Lost the install race; drop ours (values are uninit, so
-                // rebuilding the box only frees the raw slot storage).
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)));
-                }
+                // Lost the install race; nothing was written to ours.
+                // SAFETY: just mapped with this size and never published.
+                unsafe { pages::unmap_chunk(ptr, layout.size()) };
                 winner as *mut Slot<T>
             }
         }
@@ -592,19 +582,11 @@ impl<T: Tuple> Arena<T> {
     /// [`Arena::alloc`] through an explicit shard context.
     pub fn alloc_in(&self, ctx: AllocCtx, value: T) -> NodeId {
         let shard = self.shard(ctx);
-        let (id, recycled) = match self.pop_free(shard) {
-            Some(id) => (id, true),
-            None => {
-                let id = match self.pop_fresh(shard) {
-                    Some(id) => id,
-                    None => match self.steal(ctx) {
-                        Some(id) => id,
-                        None => self.refill_fresh(shard),
-                    },
-                };
-                (id, false)
-            }
-        };
+        let id = self
+            .pop_free(shard)
+            .or_else(|| self.pop_fresh(shard))
+            .or_else(|| self.steal(ctx))
+            .unwrap_or_else(|| self.refill_fresh(shard));
         let slot = self.slot(id);
         let gen = (slot.meta.load(Ordering::Acquire) & GEN_MASK) >> GEN_SHIFT;
         unsafe {
@@ -613,13 +595,7 @@ impl<T: Tuple> Arena<T> {
         // Publish: value write happens-before any Acquire load of the meta.
         slot.meta
             .store(OCCUPIED | (gen << GEN_SHIFT) | 1, Ordering::Release);
-        let allocated = shard.allocated.fetch_add(1, Ordering::Relaxed) + 1;
-        if !recycled {
-            // The shard's freelist was empty: the only point at which
-            // its `allocated - freed` balance can reach a new high.
-            let live = allocated as i64 - shard.freed.load(Ordering::Relaxed) as i64;
-            shard.peak_live.fetch_max(live, Ordering::Relaxed);
-        }
+        shard.allocated.fetch_add(1, Ordering::Relaxed);
         id
     }
 
@@ -862,16 +838,10 @@ impl<T: Tuple> Arena<T> {
     pub fn stats(&self) -> ArenaStats {
         let allocated_total = self.allocated_total();
         let freed_total = self.freed_total();
-        let peak: i64 = self
-            .shards
-            .iter()
-            .map(|s| s.peak_live.load(Ordering::Relaxed).max(0))
-            .sum();
         ArenaStats {
             allocated_total,
             freed_total,
             live: allocated_total.saturating_sub(freed_total),
-            peak_live: peak as u64,
             shards: self.shards.len() as u64,
         }
     }
@@ -879,7 +849,7 @@ impl<T: Tuple> Arena<T> {
 
 impl<T: Tuple> Drop for Arena<T> {
     fn drop(&mut self) {
-        // Drop any still-occupied values, then free the chunk storage.
+        // Drop any still-occupied values, then unmap the chunks.
         // `next_fresh` bounds every id ever handed out (ids beyond the
         // shard cursors inside carved blocks have zeroed metadata).
         let fresh = self
@@ -900,14 +870,11 @@ impl<T: Tuple> Drop for Arena<T> {
             }
         }
         for chunk in 0..NUM_CHUNKS {
-            let ptr = self.chunk_ptr(chunk);
-            if !ptr.is_null() {
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                        ptr,
-                        chunk_len(chunk),
-                    )));
-                }
+            if let Some(ptr) = NonNull::new(self.chunk_ptr(chunk)) {
+                // SAFETY: an installed chunk, mapped by `ensure_chunk`
+                // with this layout; its values are dropped above and
+                // `&mut self` rules out any other user.
+                unsafe { pages::unmap_chunk(ptr.cast(), Self::chunk_layout(chunk).size()) };
             }
         }
     }
@@ -1107,16 +1074,116 @@ mod tests {
         assert_eq!(arena.live(), 0);
     }
 
+    /// Allocate through `arena` until the first chunk of at least a
+    /// huge page is installed, and return that chunk's index. On a
+    /// single-shard arena the allocation that installs it takes the
+    /// chunk's first slot, and no other slot of the chunk is handed out.
+    fn fill_to_huge_chunk<T: Tuple>(arena: &Arena<T>, value: impl Fn() -> T) -> usize {
+        let huge = (0..NUM_CHUNKS)
+            .find(|&c| Arena::<T>::chunk_layout(c).size() >= pages::HUGE_PAGE)
+            .expect("some chunk reaches a huge page");
+        while arena.chunk_ptr(huge).is_null() {
+            arena.alloc(value());
+        }
+        huge
+    }
+
+    /// The `VmFlags` of the `/proc/self/smaps` mapping containing `addr`.
+    fn vm_flags(addr: usize) -> Vec<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let mut inside = false;
+        for line in smaps.lines() {
+            let range = line.split_once(' ').and_then(|(r, _)| r.split_once('-'));
+            if let Some((Ok(lo), Ok(hi))) =
+                range.map(|(lo, hi)| (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16)))
+            {
+                inside = (lo..hi).contains(&addr);
+            } else if let Some(flags) = line.strip_prefix("VmFlags:").filter(|_| inside) {
+                return flags.split_whitespace().map(str::to_owned).collect();
+            }
+        }
+        panic!("no mapping contains {addr:#x}");
+    }
+
     #[test]
-    fn peak_live_tracks_high_water() {
-        let arena: Arena<Leaf<u64>> = Arena::new();
-        let ids: Vec<_> = (0..100).map(|i| arena.alloc(Leaf(i))).collect();
-        for id in ids {
+    fn installed_chunks_are_zero_until_touched() {
+        // 16-byte slots: the first huge chunk is exactly 2 MiB. Every
+        // slot the allocator has not handed out reads as free.
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(1);
+        let huge = fill_to_huge_chunk(&arena, || Leaf(7));
+        assert_eq!(arena.chunk_ptr(huge) as usize % pages::HUGE_PAGE, 0);
+        let start = BASE * ((1 << huge) - 1);
+        assert!(
+            arena.is_occupied(NodeId(start)),
+            "the installing allocation"
+        );
+        for i in start + 1..start + chunk_len(huge) as u32 {
+            assert_eq!(
+                arena.slot(NodeId(i)).meta.load(Ordering::Relaxed),
+                0,
+                "slot {i}"
+            );
+            assert!(!arena.is_occupied(NodeId(i)));
+        }
+        // 24-byte slots: a 3 MiB chunk, which the kernel does not align
+        // by itself as it does mappings of whole huge pages. Several
+        // arenas at once, so no alignment is left to chance.
+        let arenas: Vec<Arena<Leaf<[u64; 2]>>> = (0..4).map(|_| Arena::with_shards(1)).collect();
+        for arena in &arenas {
+            let huge = fill_to_huge_chunk(arena, || Leaf([1, 2]));
+            assert_eq!(Arena::<Leaf<[u64; 2]>>::chunk_layout(huge).size(), 3 << 20);
+            assert_eq!(arena.chunk_ptr(huge) as usize % pages::HUGE_PAGE, 0);
+        }
+    }
+
+    #[test]
+    fn huge_chunks_carry_the_thp_advice() {
+        let big: Arena<Leaf<u64>> = Arena::with_shards(1);
+        let huge = fill_to_huge_chunk(&big, || Leaf(7));
+        assert!(vm_flags(big.chunk_ptr(huge) as usize).contains(&"hg".to_owned()));
+        // A small arena's chunks are never advised.
+        let small: Arena<Leaf<u64>> = Arena::with_shards(1);
+        for i in 0..1_000 {
+            small.alloc(Leaf(i));
+        }
+        for chunk in (0..NUM_CHUNKS).take_while(|&c| !small.chunk_ptr(c).is_null()) {
+            assert!(!vm_flags(small.chunk_ptr(chunk) as usize).contains(&"hg".to_owned()));
+        }
+    }
+
+    #[test]
+    fn arena_drop_drops_each_live_value_once() {
+        use std::sync::atomic::AtomicU8;
+        struct Probe {
+            idx: usize,
+            drops: Arc<Vec<AtomicU8>>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.drops[self.idx].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // Fill chunks 0..=6 and reach into chunk 7.
+        let n = BASE as usize * ((1 << 7) - 1) + 1_000;
+        let drops: Arc<Vec<AtomicU8>> = Arc::new((0..n).map(|_| AtomicU8::new(0)).collect());
+        let arena: Arena<Leaf<Probe>> = Arena::with_shards(1);
+        let ids: Vec<_> = (0..n)
+            .map(|idx| {
+                let drops = drops.clone();
+                arena.alloc(Leaf(Probe { idx, drops }))
+            })
+            .collect();
+        assert_eq!(locate(ids[n - 1].index()).0, 7);
+        for &id in ids.iter().step_by(3) {
             arena.collect(id);
         }
-        let stats = arena.stats();
-        assert_eq!(stats.live, 0);
-        assert_eq!(stats.peak_live, 100);
+        let dropped = |idx: usize| drops[idx].load(Ordering::Relaxed);
+        assert!((0..n).all(|idx| dropped(idx) == u8::from(idx % 3 == 0)));
+        drop(arena);
+        assert!(
+            (0..n).all(|idx| dropped(idx) == 1),
+            "each value drops exactly once"
+        );
     }
 
     #[test]

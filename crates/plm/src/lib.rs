@@ -15,7 +15,10 @@
 //! * [`Arena<T>`] — a lock-free chunked slab holding tuples of type `T`.
 //!   Slots are addressed by 4-byte [`NodeId`]s (so tree links cost 4 bytes),
 //!   chunks of doubling size are installed with a single CAS and never
-//!   moved (so reads are wait-free and never invalidated), and freed slots
+//!   moved (so reads are wait-free and never invalidated); each chunk is
+//!   an anonymous mapping whose zero fill is the free state, so only
+//!   slots handed out are ever faulted in, and a chunk of 2 MiB or more
+//!   is aligned and advised for transparent huge pages. Freed slots
 //!   recycle through **sharded** tagged Treiber stacks: allocation and
 //!   collection route through a per-thread (or explicitly pinned, see
 //!   [`AllocCtx`]) shard so concurrent writers do not serialize on one
@@ -68,6 +71,7 @@
 
 mod arena;
 mod id;
+mod pages;
 mod snzi;
 
 pub use arena::{AllocCtx, Arena, ArenaStats, PinGuard};
