@@ -1,23 +1,27 @@
-//! Sharded lock-free chunked slab with atomic reference counts.
+//! Sharded lock-free slab with atomic reference counts.
 //!
 //! ## Slot storage
 //!
-//! Slots live in up to [`NUM_CHUNKS`] chunks whose sizes double (`BASE`,
-//! `2*BASE`, `4*BASE`, …). Chunks are installed lazily with a single CAS
-//! and are never moved or freed until the arena drops, so a `&T` handed
-//! out by [`Arena::get`] stays valid storage for the arena's lifetime
-//! regardless of concurrent allocation. A [`NodeId`] is a stable 4-byte
-//! index into this (global, shard-agnostic) id space.
+//! Each arena reserves, when it is built, one range of address space
+//! large enough for every id it could ever hand out ([`Arena::capacity`]
+//! slots; `crate::pages`). A [`NodeId`] is a stable 4-byte index into
+//! this (global, shard-agnostic) id space, and slot `i` sits at
+//! `base + i`: reading a node costs one pointer add, with no table to
+//! consult. Nothing is ever moved or unmapped until the arena drops, so
+//! a `&T` handed out by [`Arena::get`] stays valid storage for the
+//! arena's lifetime regardless of concurrent allocation.
 //!
-//! Each chunk is one anonymous memory mapping (`crate::pages`). Its
-//! zero fill *is* the free-slot state — metadata 0 (not occupied,
-//! generation 0), value uninitialized — so installing a chunk writes
-//! nothing, and only pages holding slots actually handed out are ever
-//! faulted in. A chunk of 2 MiB or more is mapped on a 2 MiB boundary
-//! and advised for transparent huge pages, so a large version is
-//! backed by a few dozen huge pages rather than thousands of 4 KiB
-//! ones and a tree descent takes fewer TLB misses; smaller chunks (all
-//! of a small arena's) stay plain mappings.
+//! The reservation is inaccessible except for a prefix, which grows
+//! when a carved block of fresh ids ends past it — in doubling steps of
+//! whole 2 MiB huge pages, so it grows a logarithmic number of times.
+//! The zero fill of fresh anonymous memory *is* the free-slot state —
+//! metadata 0 (not occupied, generation 0), value uninitialized — so
+//! growing the prefix writes nothing, and only pages holding slots
+//! actually handed out are ever faulted in. Everything past the first
+//! 2 MiB is advised for transparent huge pages, so a large version is
+//! backed by a few dozen huge pages rather than thousands of 4 KiB ones
+//! and a tree descent takes fewer TLB misses; a small arena's slots all
+//! sit in the unadvised head.
 //!
 //! ## Sharded allocation
 //!
@@ -70,20 +74,11 @@
 //! `1 <= rc < 2^32` whenever an increment or decrement happens.
 
 use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::alloc::{handle_alloc_error, Layout};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::ptr::NonNull;
 
-use crate::{pages, CachePadded, NodeId, OptNodeId, Tuple};
-
-/// log2 of the first chunk's slot count.
-const BASE_BITS: u32 = 10;
-/// Slot count of chunk 0.
-const BASE: u32 = 1 << BASE_BITS;
-/// Maximum number of chunks; capacity is `BASE * (2^NUM_CHUNKS - 1)` slots,
-/// which exhausts the 32-bit id space.
-const NUM_CHUNKS: usize = 22;
+use crate::pages::{self, Reservation};
+use crate::{CachePadded, NodeId, OptNodeId, Tuple};
 
 const OCCUPIED: u64 = 1 << 63;
 const GEN_SHIFT: u32 = 32;
@@ -93,31 +88,14 @@ const LOW_MASK: u64 = (1u64 << 32) - 1;
 /// Freelist "empty" marker (also used as a slot's "no next" link).
 const NIL: u32 = u32::MAX;
 
-/// Ids carved from the global fresh cursor per shard refill. Must divide
-/// `BASE` so a block never straddles a chunk boundary (chunk starts are
-/// multiples of `BASE`), letting the refill install the chunk once.
+/// Ids carved from the global fresh cursor per shard refill.
 const FRESH_BLOCK: u64 = 256;
-const _: () = assert!((BASE as u64).is_multiple_of(FRESH_BLOCK));
 
 /// Upper bound on the shard count (id space and stats stay tiny).
 const MAX_SHARDS: usize = 64;
 
 /// Buffered frees per freelist splice in [`Arena::collect`].
 const FREE_BUF: usize = 64;
-
-#[inline]
-fn locate(index: u32) -> (usize, usize) {
-    // Chunk c covers indices [BASE*(2^c - 1), BASE*(2^(c+1) - 1)).
-    let adjusted = (index as u64 + BASE as u64) >> BASE_BITS; // >= 1
-    let chunk = 63 - adjusted.leading_zeros() as u64;
-    let chunk_start = ((1u64 << chunk) - 1) << BASE_BITS;
-    (chunk as usize, (index as u64 - chunk_start) as usize)
-}
-
-#[inline]
-fn chunk_len(chunk: usize) -> usize {
-    (BASE as usize) << chunk
-}
 
 /// All-zero bytes are a free slot: metadata 0, value uninitialized.
 struct Slot<T> {
@@ -251,7 +229,8 @@ pub struct ArenaStats {
 /// paper. See the crate docs for the ownership convention and the module
 /// docs for the sharded allocator layout.
 pub struct Arena<T: Tuple> {
-    chunks: [AtomicU64; NUM_CHUNKS], // raw `*mut Slot<T>` stored as u64
+    /// Slot `i` at `base + i`; accessible up to the carved fresh ids.
+    pages: Reservation,
     shards: Box<[CachePadded<Shard>]>,
     shard_mask: u32,
     /// Global bump cursor; carved [`FRESH_BLOCK`] ids at a time.
@@ -259,7 +238,14 @@ pub struct Arena<T: Tuple> {
     _marker: std::marker::PhantomData<T>,
 }
 
+// SAFETY: the arena owns its reservation outright, and every shared
+// access to a slot goes through the slot's atomic metadata word (values
+// are written before the `Release` store that publishes them, and torn
+// down only by the thread that took the count to zero). `T: Tuple` is
+// `Send + Sync`, so values may be dropped on, and shared with, any
+// thread.
 unsafe impl<T: Tuple> Send for Arena<T> {}
+// SAFETY: as above.
 unsafe impl<T: Tuple> Sync for Arena<T> {}
 
 impl<T: Tuple> Default for Arena<T> {
@@ -275,8 +261,8 @@ fn default_shard_count() -> usize {
 
 impl<T: Tuple> Arena<T> {
     /// Create an empty arena with the default shard count (≈ 2× cores,
-    /// rounded to a power of two). No chunks are allocated until first
-    /// use.
+    /// rounded to a power of two). It reserves address space for
+    /// [`Arena::capacity`] slots and touches none of it until first use.
     pub fn new() -> Self {
         Self::with_shards(default_shard_count())
     }
@@ -286,9 +272,11 @@ impl<T: Tuple> Arena<T> {
     /// the classic single-freelist allocator, which benchmarks use as
     /// their contention baseline.
     pub fn with_shards(shards: usize) -> Self {
+        // The reservation is huge-page-aligned, which covers any sane tuple.
+        const { assert!(align_of::<Slot<T>>() <= pages::HUGE_PAGE) };
         let shards = shards.next_power_of_two().clamp(1, MAX_SHARDS);
         Arena {
-            chunks: std::array::from_fn(|_| AtomicU64::new(0)),
+            pages: Reservation::new(Self::capacity() as usize * size_of::<Slot<T>>()),
             shards: (0..shards)
                 .map(|_| CachePadded::new(Shard::new()))
                 .collect(),
@@ -303,9 +291,10 @@ impl<T: Tuple> Arena<T> {
         self.shards.len()
     }
 
-    /// Maximum number of slots this arena can ever hold.
+    /// Maximum number of slots this arena can ever hold: every 32-bit id
+    /// but the nil sentinel.
     pub const fn capacity() -> u64 {
-        (BASE as u64) * ((1u64 << NUM_CHUNKS) - 1)
+        NIL as u64
     }
 
     // ------------------------------------------------------------------
@@ -392,53 +381,18 @@ impl<T: Tuple> Arena<T> {
         &self.shards[(ctx.shard & self.shard_mask) as usize]
     }
 
-    // ------------------------------------------------------------------
-    // Chunk management
-    // ------------------------------------------------------------------
-
-    #[inline]
-    fn chunk_ptr(&self, chunk: usize) -> *mut Slot<T> {
-        self.chunks[chunk].load(Ordering::Acquire) as *mut Slot<T>
-    }
-
-    /// The memory layout of chunk `chunk`'s slot array.
-    fn chunk_layout(chunk: usize) -> Layout {
-        Layout::array::<Slot<T>>(chunk_len(chunk)).expect("arena chunk exceeds the address space")
-    }
-
-    /// Get (or lazily install) chunk `chunk`.
-    fn ensure_chunk(&self, chunk: usize) -> *mut Slot<T> {
-        // Mappings are page-aligned, which covers any sane tuple.
-        const { assert!(align_of::<Slot<T>>() <= 4096) };
-        let existing = self.chunk_ptr(chunk);
-        if !existing.is_null() {
-            return existing;
-        }
-        // A fresh mapping reads as zeroes, which is every slot free.
-        let layout = Self::chunk_layout(chunk);
-        let ptr = pages::map_chunk(layout.size()).unwrap_or_else(|| handle_alloc_error(layout));
-        match self.chunks[chunk].compare_exchange(
-            0,
-            ptr.as_ptr() as u64,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => ptr.as_ptr().cast(),
-            Err(winner) => {
-                // Lost the install race; nothing was written to ours.
-                // SAFETY: just mapped with this size and never published.
-                unsafe { pages::unmap_chunk(ptr, layout.size()) };
-                winner as *mut Slot<T>
-            }
-        }
-    }
-
     #[inline]
     fn slot(&self, id: NodeId) -> &Slot<T> {
-        let (chunk, offset) = locate(id.0);
-        let ptr = self.chunk_ptr(chunk);
-        debug_assert!(!ptr.is_null(), "slot in uninstalled chunk: {id:?}");
-        unsafe { &*ptr.add(offset) }
+        debug_assert!(
+            (id.0 as usize + 1) * size_of::<Slot<T>>() <= self.pages.accessible(),
+            "slot {id:?} lies past the arena's accessible prefix"
+        );
+        let base = self.pages.base().cast::<Slot<T>>().as_ptr();
+        // SAFETY: every id below `capacity()` has a slot inside the
+        // reservation; ids come from `refill_fresh`, which exposes their
+        // slots before handing them out, and the reservation lives as
+        // long as `self`.
+        unsafe { &*base.add(id.0 as usize) }
     }
 
     // ------------------------------------------------------------------
@@ -547,11 +501,7 @@ impl<T: Tuple> Arena<T> {
                 let start = self.next_fresh.fetch_add(FRESH_BLOCK, Ordering::Relaxed);
                 assert!(start < Self::capacity(), "arena capacity exhausted");
                 let end = (start + FRESH_BLOCK).min(Self::capacity());
-                // A block never straddles a chunk boundary (FRESH_BLOCK
-                // divides BASE), so installing the first id's chunk
-                // covers the whole window.
-                let (chunk, _) = locate(start as u32);
-                self.ensure_chunk(chunk);
+                self.pages.expose(end as usize * size_of::<Slot<T>>());
                 // Poppers only CAS a non-empty window, so a plain store
                 // cannot clobber a concurrent hand-out.
                 shard
@@ -849,7 +799,7 @@ impl<T: Tuple> Arena<T> {
 
 impl<T: Tuple> Drop for Arena<T> {
     fn drop(&mut self) {
-        // Drop any still-occupied values, then unmap the chunks.
+        // Drop any still-occupied values; the reservation unmaps itself.
         // `next_fresh` bounds every id ever handed out (ids beyond the
         // shard cursors inside carved blocks have zeroed metadata).
         let fresh = self
@@ -857,24 +807,13 @@ impl<T: Tuple> Drop for Arena<T> {
             .load(Ordering::Acquire)
             .min(Self::capacity());
         for raw in 0..fresh as u32 {
-            let (chunk, offset) = locate(raw);
-            let ptr = self.chunk_ptr(chunk);
-            if ptr.is_null() {
-                continue;
-            }
-            let slot = unsafe { &*ptr.add(offset) };
+            let slot = self.slot(NodeId(raw));
             if slot.meta.load(Ordering::Acquire) & OCCUPIED != 0 {
+                // SAFETY: an occupied slot holds an initialized value,
+                // and `&mut self` rules out any other user.
                 unsafe {
                     std::ptr::drop_in_place((*slot.value.get()).assume_init_mut() as *mut T);
                 }
-            }
-        }
-        for chunk in 0..NUM_CHUNKS {
-            if let Some(ptr) = NonNull::new(self.chunk_ptr(chunk)) {
-                // SAFETY: an installed chunk, mapped by `ensure_chunk`
-                // with this layout; its values are dropped above and
-                // `&mut self` rules out any other user.
-                unsafe { pages::unmap_chunk(ptr.cast(), Self::chunk_layout(chunk).size()) };
             }
         }
     }
@@ -911,20 +850,6 @@ mod tests {
             right: OptNodeId::NONE,
             payload,
         })
-    }
-
-    #[test]
-    fn locate_math() {
-        assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(BASE - 1), (0, (BASE - 1) as usize));
-        assert_eq!(locate(BASE), (1, 0));
-        assert_eq!(locate(3 * BASE - 1), (1, (2 * BASE - 1) as usize));
-        assert_eq!(locate(3 * BASE), (2, 0));
-        // Every index in the first few chunks maps to a unique slot.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..8 * BASE {
-            assert!(seen.insert(locate(i)), "duplicate slot for index {i}");
-        }
     }
 
     #[test]
@@ -1074,20 +999,6 @@ mod tests {
         assert_eq!(arena.live(), 0);
     }
 
-    /// Allocate through `arena` until the first chunk of at least a
-    /// huge page is installed, and return that chunk's index. On a
-    /// single-shard arena the allocation that installs it takes the
-    /// chunk's first slot, and no other slot of the chunk is handed out.
-    fn fill_to_huge_chunk<T: Tuple>(arena: &Arena<T>, value: impl Fn() -> T) -> usize {
-        let huge = (0..NUM_CHUNKS)
-            .find(|&c| Arena::<T>::chunk_layout(c).size() >= pages::HUGE_PAGE)
-            .expect("some chunk reaches a huge page");
-        while arena.chunk_ptr(huge).is_null() {
-            arena.alloc(value());
-        }
-        huge
-    }
-
     /// The `VmFlags` of the `/proc/self/smaps` mapping containing `addr`.
     fn vm_flags(addr: usize) -> Vec<String> {
         let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
@@ -1105,19 +1016,43 @@ mod tests {
         panic!("no mapping contains {addr:#x}");
     }
 
+    /// The `/proc/self/maps` entries overlapping `[lo, hi)`, clipped to
+    /// it, in address order: `(start, end, permissions)`.
+    fn mappings_within(lo: usize, hi: usize) -> Vec<(usize, usize, String)> {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+        let mut out = Vec::new();
+        for line in maps.lines() {
+            let mut fields = line.split_whitespace();
+            let (range, perms) = (fields.next().unwrap(), fields.next().unwrap());
+            let (start, end) = range.split_once('-').unwrap();
+            let start = usize::from_str_radix(start, 16).unwrap();
+            let end = usize::from_str_radix(end, 16).unwrap();
+            if start < hi && end > lo {
+                out.push((start.max(lo), end.min(hi), perms.to_owned()));
+            }
+        }
+        out
+    }
+
+    /// The reservation's bytes and the bytes of every id carved so far.
+    fn reserved_and_handed<T: Tuple>(arena: &Arena<T>) -> (usize, usize) {
+        let fresh = arena.next_fresh.load(Ordering::Relaxed) as usize;
+        (arena.pages.len(), fresh * size_of::<Slot<T>>())
+    }
+
     #[test]
-    fn installed_chunks_are_zero_until_touched() {
-        // 16-byte slots: the first huge chunk is exactly 2 MiB. Every
-        // slot the allocator has not handed out reads as free.
-        let arena: Arena<Leaf<u64>> = Arena::with_shards(1);
-        let huge = fill_to_huge_chunk(&arena, || Leaf(7));
-        assert_eq!(arena.chunk_ptr(huge) as usize % pages::HUGE_PAGE, 0);
-        let start = BASE * ((1 << huge) - 1);
-        assert!(
-            arena.is_occupied(NodeId(start)),
-            "the installing allocation"
-        );
-        for i in start + 1..start + chunk_len(huge) as u32 {
+    fn unhanded_slots_read_free() {
+        // Every slot the allocator has not handed out reads as free: the
+        // zero fill of the exposed prefix is the free state.
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(4);
+        let ids: Vec<_> = (0..1_000)
+            .map(|i| arena.alloc_in(arena.ctx_for(i), Leaf(i as u64)))
+            .collect();
+        assert_eq!(arena.pages.base().as_ptr() as usize % pages::HUGE_PAGE, 0);
+        let slots = arena.pages.accessible() / size_of::<Slot<Leaf<u64>>>();
+        assert!(slots >= FRESH_BLOCK as usize * arena.shards());
+        let handed: std::collections::HashSet<u32> = ids.iter().map(|id| id.index()).collect();
+        for i in (0..slots as u32).filter(|i| !handed.contains(i)) {
             assert_eq!(
                 arena.slot(NodeId(i)).meta.load(Ordering::Relaxed),
                 0,
@@ -1125,30 +1060,104 @@ mod tests {
             );
             assert!(!arena.is_occupied(NodeId(i)));
         }
-        // 24-byte slots: a 3 MiB chunk, which the kernel does not align
-        // by itself as it does mappings of whole huge pages. Several
-        // arenas at once, so no alignment is left to chance.
+        assert!(ids.iter().all(|&id| arena.is_occupied(id)));
+        // Another slot size, and several arenas at once, so no alignment
+        // is left to chance.
         let arenas: Vec<Arena<Leaf<[u64; 2]>>> = (0..4).map(|_| Arena::with_shards(1)).collect();
         for arena in &arenas {
-            let huge = fill_to_huge_chunk(arena, || Leaf([1, 2]));
-            assert_eq!(Arena::<Leaf<[u64; 2]>>::chunk_layout(huge).size(), 3 << 20);
-            assert_eq!(arena.chunk_ptr(huge) as usize % pages::HUGE_PAGE, 0);
+            assert_eq!(arena.pages.base().as_ptr() as usize % pages::HUGE_PAGE, 0);
+            let id = arena.alloc(Leaf([1, 2]));
+            assert_eq!(arena.get(id).0, [1, 2]);
         }
     }
 
     #[test]
-    fn huge_chunks_carry_the_thp_advice() {
+    fn thp_advice_starts_past_the_first_huge_page() {
+        let hg = |addr: usize| vm_flags(addr).contains(&"hg".to_owned());
+        // Grow the exposed prefix past its unadvised first huge page.
         let big: Arena<Leaf<u64>> = Arena::with_shards(1);
-        let huge = fill_to_huge_chunk(&big, || Leaf(7));
-        assert!(vm_flags(big.chunk_ptr(huge) as usize).contains(&"hg".to_owned()));
-        // A small arena's chunks are never advised.
+        while big.pages.accessible() <= pages::HUGE_PAGE {
+            big.alloc(Leaf(7));
+        }
+        let base = big.pages.base().as_ptr() as usize;
+        assert!(!hg(base) && !hg(base + pages::HUGE_PAGE - 1));
+        assert!(hg(base + pages::HUGE_PAGE), "the exposed, advised prefix");
+        assert!(hg(base + big.pages.len() - 1), "the reserved tail");
+        // A small arena's tuples all sit in the unadvised head.
         let small: Arena<Leaf<u64>> = Arena::with_shards(1);
         for i in 0..1_000 {
             small.alloc(Leaf(i));
         }
-        for chunk in (0..NUM_CHUNKS).take_while(|&c| !small.chunk_ptr(c).is_null()) {
-            assert!(!vm_flags(small.chunk_ptr(chunk) as usize).contains(&"hg".to_owned()));
+        let (_, handed) = reserved_and_handed(&small);
+        assert!(handed <= pages::HUGE_PAGE);
+        assert!(!hg(small.pages.base().as_ptr() as usize));
+    }
+
+    #[test]
+    fn only_the_handed_out_prefix_is_accessible() {
+        // From the base: readable and writable memory up to the exposed
+        // prefix (whole huge pages, at most twice what was handed out),
+        // then inaccessible reservation to its end.
+        fn check<T: Tuple>(arena: &Arena<T>) {
+            let (len, handed) = reserved_and_handed(arena);
+            let base = arena.pages.base().as_ptr() as usize;
+            let mut prefix = 0;
+            let mut at = base;
+            for (lo, hi, perms) in mappings_within(base, base + len) {
+                assert_eq!(lo, at, "a hole in the reservation");
+                if perms == "rw-p" {
+                    assert_eq!(prefix, lo - base, "rw-p after ---p");
+                    prefix = hi - base;
+                } else {
+                    assert_eq!(perms, "---p", "reservation at {lo:#x}");
+                }
+                at = hi;
+            }
+            assert_eq!(at, base + len, "the reservation ends early");
+            assert_eq!(prefix, arena.pages.accessible());
+            assert_eq!(prefix % pages::HUGE_PAGE, 0, "a partial huge page");
+            assert!(prefix >= handed, "a handed-out slot is inaccessible");
+            let bound = pages::HUGE_PAGE.max((2 * handed).next_multiple_of(pages::HUGE_PAGE));
+            assert!(
+                prefix <= bound,
+                "prefix {prefix} for {handed} handed-out bytes"
+            );
         }
+        let arena: Arena<Leaf<[u64; 2]>> = Arena::with_shards(2);
+        check(&arena);
+        assert_eq!(arena.pages.accessible(), 0, "nothing exposed before use");
+        for round in 0..4 {
+            for i in 0..100_000u64 << round {
+                arena.alloc(Leaf([i, round]));
+            }
+            check(&arena);
+        }
+    }
+
+    #[test]
+    fn many_arenas_coexist() {
+        // 48-byte slots reserve about 192 GiB each: 256 arenas take a
+        // third of a 47-bit address space and next to no memory.
+        let arenas: Vec<Arena<Leaf<[u64; 5]>>> = (0..256).map(|_| Arena::with_shards(1)).collect();
+        assert_eq!(size_of::<Slot<Leaf<[u64; 5]>>>(), 48);
+        let ids: Vec<_> = arenas
+            .iter()
+            .enumerate()
+            .map(|(i, a)| a.alloc(Leaf([i as u64; 5])))
+            .collect();
+        for (i, (arena, &id)) in arenas.iter().zip(&ids).enumerate() {
+            assert_eq!(arena.get(id).0, [i as u64; 5]);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "past the arena's accessible prefix")]
+    fn get_past_the_prefix_panics_in_debug_builds() {
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(1);
+        arena.alloc(Leaf(1));
+        let past = arena.pages.accessible() / size_of::<Slot<Leaf<u64>>>();
+        let _ = arena.get(NodeId(past as u32));
     }
 
     #[test]
@@ -1163,8 +1172,8 @@ mod tests {
                 self.drops[self.idx].fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Fill chunks 0..=6 and reach into chunk 7.
-        let n = BASE as usize * ((1 << 7) - 1) + 1_000;
+        // Reach past the first huge page, through several prefix growths.
+        let n = 1024 * ((1 << 7) - 1) + 1_000;
         let drops: Arc<Vec<AtomicU8>> = Arc::new((0..n).map(|_| AtomicU8::new(0)).collect());
         let arena: Arena<Leaf<Probe>> = Arena::with_shards(1);
         let ids: Vec<_> = (0..n)
@@ -1173,7 +1182,7 @@ mod tests {
                 arena.alloc(Leaf(Probe { idx, drops }))
             })
             .collect();
-        assert_eq!(locate(ids[n - 1].index()).0, 7);
+        assert!(ids[n - 1].index() as usize * size_of::<Slot<Leaf<Probe>>>() > pages::HUGE_PAGE);
         for &id in ids.iter().step_by(3) {
             arena.collect(id);
         }
@@ -1224,7 +1233,8 @@ mod tests {
     #[test]
     fn cross_chunk_allocation() {
         let arena: Arena<Leaf<u32>> = Arena::new();
-        let n = 3 * BASE + 7; // spans three chunks
+        // Spans the prefix's first two growths.
+        let n = (2 * pages::HUGE_PAGE / size_of::<Slot<Leaf<u32>>>()) as u32 + 7;
         let ids: Vec<_> = (0..n).map(|i| arena.alloc(Leaf(i))).collect();
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(arena.get(*id).0 as usize, i);

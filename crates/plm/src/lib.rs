@@ -12,18 +12,19 @@
 //!
 //! This crate is that substrate:
 //!
-//! * [`Arena<T>`] — a lock-free chunked slab holding tuples of type `T`.
-//!   Slots are addressed by 4-byte [`NodeId`]s (so tree links cost 4 bytes),
-//!   chunks of doubling size are installed with a single CAS and never
-//!   moved (so reads are wait-free and never invalidated); each chunk is
-//!   an anonymous mapping whose zero fill is the free state, so only
-//!   slots handed out are ever faulted in, and a chunk of 2 MiB or more
-//!   is aligned and advised for transparent huge pages. Freed slots
-//!   recycle through **sharded** tagged Treiber stacks: allocation and
-//!   collection route through a per-thread (or explicitly pinned, see
-//!   [`AllocCtx`]) shard so concurrent writers do not serialize on one
-//!   freelist head, stealing from sibling shards only when their own runs
-//!   dry.
+//! * [`Arena<T>`] — a lock-free slab holding tuples of type `T`. Slots
+//!   are addressed by 4-byte [`NodeId`]s (so tree links cost 4 bytes)
+//!   and live in one address-space reservation per arena, made when the
+//!   arena is built: slot `i` is at `base + i`, and no slot ever moves,
+//!   so reads are wait-free and never invalidated. Only a prefix of the
+//!   reservation is accessible, grown as fresh ids are carved; its zero
+//!   fill is the free state, so only slots handed out are ever faulted
+//!   in, and everything past its first 2 MiB is advised for transparent
+//!   huge pages. Freed slots recycle through **sharded** tagged Treiber
+//!   stacks: allocation and collection route through a per-thread (or
+//!   explicitly pinned, see [`AllocCtx`]) shard so concurrent writers do
+//!   not serialize on one freelist head, stealing from sibling shards
+//!   only when their own runs dry.
 //! * Per-slot atomic reference counts with an *ownership* convention:
 //!   `rc` equals the number of owners (parent tuples + external handles).
 //!   [`Arena::alloc`] returns a node owned by the caller (`rc == 1`);
@@ -51,6 +52,17 @@
 //! transaction still holds the version (Theorem 5.3). The concurrency stress
 //! tests in this workspace run with `debug_assertions` generation checks to
 //! empirically verify the claim.
+//!
+//! ## Address-space cost
+//!
+//! Each arena reserves [`Arena::capacity`] × slot bytes of address space
+//! (a slot is the tuple and an 8-byte metadata word, padded to the
+//! tuple's alignment), whether it holds one tuple or four billion. At
+//! 48-byte slots that is 192 GiB, so a 47-bit (128 TiB) user address
+//! space fits about 680 live arenas. The reservation needs no memory
+//! and no commit charge, but a process limited by a small `ulimit -v`
+//! cannot build an arena at all: the reservation goes to
+//! [`std::alloc::handle_alloc_error`].
 
 //! ## Example
 //!
@@ -72,11 +84,9 @@
 mod arena;
 mod id;
 mod pages;
-mod snzi;
 
 pub use arena::{AllocCtx, Arena, ArenaStats, PinGuard};
 pub use id::{NodeId, OptNodeId};
-pub use snzi::Snzi;
 
 /// A tuple type storable in the [`Arena`].
 ///
@@ -104,8 +114,8 @@ impl<T: Send + Sync + 'static> Tuple for Leaf<T> {
 /// Pads and aligns a value to 128 bytes so neighbouring values never
 /// share a cache line (two lines, to defeat adjacent-line prefetch).
 ///
-/// The arena's shards and the SNZI's nodes here, and `mvcc-vm`'s
-/// per-process announcement slots above, each sit in one of these.
+/// The arena's shards here, and `mvcc-vm`'s per-process announcement
+/// slots above, each sit in one of these.
 #[repr(align(128))]
 pub struct CachePadded<T>(T);
 

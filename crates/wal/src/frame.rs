@@ -45,33 +45,63 @@ pub const GROUP_TAG: u64 = u64::MAX;
 /// size so one gigantic group cannot approach [`MAX_FRAME_BYTES`].
 pub(crate) const GROUP_CHUNK_RECORDS: usize = 1024;
 
-/// CRC-32 (IEEE, reflected, as used by zip/png) over `data`.
+/// CRC-32 (IEEE, reflected, as used by zip/png) over `data`, eight
+/// bytes per table step (slicing-by-8).
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// it; `CRC_TABLES[k][b]` after shifting `b` and then `k` zero bytes, so
+/// one lookup per byte of an 8-byte word advances the register by all
+/// eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// One logical key/value delta inside a committed batch. Keys and values
 /// are opaque bytes at this layer; the transactional crate encodes its
@@ -314,6 +344,40 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_a_bitwise_reference() {
+        // One bit per step: the polynomial division itself, with no table.
+        fn reference(data: &[u8]) -> u32 {
+            let mut c = !0u32;
+            for &b in data {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        }
+        // splitmix64: random lengths at every offset modulo a word.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for _ in 0..2_000 {
+            let len = (next() % 4096) as usize;
+            let at = (next() % 8) as usize;
+            let data = &buf[at..at + len];
+            assert_eq!(crc32(data), reference(data), "{len} bytes at offset {at}");
+        }
     }
 
     fn sample() -> WalBatch {
