@@ -38,6 +38,18 @@
 //!   is a no-op: batches at or below the recovered `commit_ts` are
 //!   skipped.
 //!
+//!   The tail replays as **one bulk write**. Recovery decodes the ops of
+//!   every batch it does not skip, in commit order, keeps the last
+//!   write per key (logged values are already merged, so the last put
+//!   *is* the value), and applies one bulk remove of the keys whose
+//!   last write deletes them and one bulk insert of the rest. The
+//!   result is the one a batch-by-batch replay reaches: only intact
+//!   frames are replayed, so per-batch atomicity holds, and the
+//!   database is private until `recover` returns, so nothing can
+//!   observe the intermediate versions that the fold skips. The
+//!   [`RecoveryReport`] counts and the commit clock (`next_tx`,
+//!   `last_commit_ts`) are still taken batch by batch.
+//!
 //! [`Durability::Off`] keeps today's in-memory behavior: writes go
 //! straight through the lock-free session path — no logging, no commit
 //! mutex, no fsync — and only an explicit checkpoint persists anything.
@@ -607,26 +619,58 @@ pub struct DurableDatabase<P: TreeParams, M: VersionMaintenance = PswfVm> {
     maint: Mutex<MaintInner>,
 }
 
-fn decode_ops<P: TreeParams>(ops: &[WalOp]) -> Result<Vec<MapOp<P>>, DurableError>
+/// Decode one logged batch onto `out` as `(key, Some(value))` for a put
+/// and `(key, None)` for a delete, in log order.
+fn decode_writes<P: TreeParams>(
+    ops: &[WalOp],
+    out: &mut Vec<(P::K, Option<P::V>)>,
+) -> Result<(), DurableError>
 where
     P::K: WalCodec,
     P::V: WalCodec,
 {
-    ops.iter()
-        .map(|op| match op {
+    for op in ops {
+        out.push(match op {
             WalOp::Put(k, v) => match (P::K::decode(k), P::V::decode(v)) {
-                (Some(k), Some(v)) => Ok(MapOp::Insert(k, v)),
-                _ => Err(DurableError::Corrupt {
-                    context: "WAL put delta",
-                }),
+                (Some(k), Some(v)) => (k, Some(v)),
+                _ => {
+                    return Err(DurableError::Corrupt {
+                        context: "WAL put delta",
+                    })
+                }
             },
-            WalOp::Del(k) => P::K::decode(k)
-                .map(MapOp::Remove)
-                .ok_or(DurableError::Corrupt {
-                    context: "WAL delete delta",
-                }),
-        })
-        .collect()
+            WalOp::Del(k) => match P::K::decode(k) {
+                Some(k) => (k, None),
+                None => {
+                    return Err(DurableError::Corrupt {
+                        context: "WAL delete delta",
+                    })
+                }
+            },
+        });
+    }
+    Ok(())
+}
+
+/// The net effect of `writes`, given in commit order: per key, its last
+/// write. Returns the keys whose last write is a put, with that value,
+/// and the keys whose last write is a delete, each sorted by key.
+/// Logged values are already merged, so the last put *is* the value.
+fn last_write_per_key<K: Ord, V>(mut writes: Vec<(K, Option<V>)>) -> (Vec<(K, V)>, Vec<K>) {
+    // Stable: the writes to one key keep their commit order.
+    writes.sort_by(|a, b| a.0.cmp(&b.0));
+    let (mut puts, mut dels) = (Vec::new(), Vec::new());
+    let mut writes = writes.into_iter().peekable();
+    while let Some((k, v)) = writes.next() {
+        if writes.peek().is_some_and(|(next, _)| *next == k) {
+            continue;
+        }
+        match v {
+            Some(v) => puts.push((k, v)),
+            None => dels.push(k),
+        }
+    }
+    (puts, dels)
 }
 
 fn encode_ops<P: TreeParams>(ops: &[MapOp<P>]) -> Vec<WalOp>
@@ -661,7 +705,9 @@ where
     /// (created if absent). An empty directory yields an empty database;
     /// otherwise the newest valid checkpoint is loaded and the WAL tail
     /// replayed — including after a crash, where a torn tail ends replay
-    /// at the last intact record instead of failing.
+    /// at the last intact record instead of failing. The checkpoint
+    /// image is one bulk build and the tail one bulk write (see the
+    /// module docs).
     pub fn recover(
         path: impl AsRef<Path>,
         processes: usize,
@@ -730,6 +776,11 @@ where
                     (f.build_sorted(&pairs), ())
                 });
             }
+            // The intact tail replays as one write: its net effect per
+            // key, applied with one bulk remove and one bulk insert
+            // (`multi_insert`'s build and union, over puts that are
+            // already sorted and distinct). See the module docs.
+            let mut writes = Vec::new();
             for b in &replay.batches {
                 // Even checkpoint-covered (skipped) batches advance the
                 // tx-id high-water mark.
@@ -738,17 +789,17 @@ where
                     report.skipped += 1;
                     continue;
                 }
-                let ops = decode_ops::<P>(&b.ops)?;
-                session.write(|txn| {
-                    for op in &ops {
-                        match op {
-                            MapOp::Insert(k, v) => txn.insert(k.clone(), v.clone()),
-                            MapOp::Remove(k) => drop(txn.remove(k)),
-                        }
-                    }
-                });
+                decode_writes::<P>(&b.ops, &mut writes)?;
                 report.replayed += 1;
                 last_ts = b.commit_ts;
+            }
+            if !writes.is_empty() {
+                let (puts, dels) = last_write_per_key(writes);
+                session.write_raw(|f, base| {
+                    let t = f.multi_remove_sorted(base, &dels);
+                    let built = f.build_sorted(&puts);
+                    (f.union(t, built), ())
+                });
             }
         }
 

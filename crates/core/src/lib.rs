@@ -178,8 +178,8 @@ pub use mvcc_vm as vm;
 pub use mvcc_vm::LeaseError as SessionError;
 pub use mvcc_wal as wal;
 pub use pool::{
-    AcquireFuture, AcquireState, AcquireTimeout, AcquireTimeoutFuture, LeaseGuard, LeaseRevoked,
-    PoolStats, Router, SessionPool,
+    AcquireFuture, AcquireState, AcquireTimeout, LeaseGuard, LeaseRevoked, PoolStats, Router,
+    SessionPool,
 };
 pub use session::{Session, SessionReadGuard, WriteTxn};
 

@@ -496,23 +496,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
         self.poll_acquire(cx, state).map(Ok)
     }
 
-    /// Async [`SessionPool::acquire_timeout`]: a future resolving to
-    /// `Ok(session)` in FIFO order, or `Err(AcquireTimeout)` once
-    /// `timeout` elapses without a pid.
-    ///
-    /// The deadline is checked at each poll (see
-    /// [`SessionPool::poll_acquire_deadline`] for the no-timer
-    /// contract): an executor that only wakes the future on pool
-    /// releases will not notice the expiry until something polls it,
-    /// so pair the future with a periodic tick when expiry must be
-    /// prompt.
-    pub fn acquire_async_timeout(&self, timeout: Duration) -> AcquireTimeoutFuture<'db, P, M> {
-        AcquireTimeoutFuture {
-            pool: *self,
-            state: AcquireState::with_deadline(Instant::now() + timeout),
-        }
-    }
-
     /// Point-in-time admission gauges (each field a racy snapshot):
     /// the shed-above-depth policy in `mvcc-net` reads
     /// [`PoolStats::waiters`] against its threshold before enqueuing.
@@ -923,59 +906,16 @@ impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for AcquireFuture<'_,
     }
 }
 
-/// The future returned by [`SessionPool::acquire_async_timeout`]:
-/// FIFO admission like [`AcquireFuture`], but resolves
-/// `Err(AcquireTimeout)` once its deadline is observed past at a poll.
-/// Dropping it pending surrenders its ticket like any other waiter.
-pub struct AcquireTimeoutFuture<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
-    pool: SessionPool<'db, P, M>,
-    state: AcquireState,
-}
-
-impl<'db, P: TreeParams, M: VersionMaintenance> AcquireTimeoutFuture<'db, P, M> {
-    /// The FIFO ticket drawn by this future's first poll (`None` only
-    /// before it).
-    pub fn ticket(&self) -> Option<u64> {
-        self.state.ticket()
-    }
-
-    /// The admission deadline this future expires at.
-    pub fn deadline(&self) -> Instant {
-        self.state
-            .deadline()
-            .expect("acquire_async_timeout always sets a deadline")
-    }
-}
-
-impl<'db, P: TreeParams, M: VersionMaintenance> Future for AcquireTimeoutFuture<'db, P, M> {
-    type Output = Result<Session<'db, P, M>, AcquireTimeout>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.pool.poll_acquire_deadline(cx, &mut this.state)
-    }
-}
-
-impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for AcquireTimeoutFuture<'_, P, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AcquireTimeoutFuture")
-            .field("ticket", &self.ticket())
-            .field("deadline", &self.deadline())
-            .finish()
-    }
-}
-
 /// Drive one future to completion on the current thread, parking
 /// between polls — the minimal executor. Enough to use
 /// [`SessionPool::acquire_async`] from synchronous code and tests; the
 /// `mvcc-net` server brings its own readiness loop instead.
 ///
-/// It re-polls only when woken, so a *poll-observed* deadline —
-/// [`SessionPool::acquire_async_timeout`] on a pool nothing releases —
+/// It re-polls only when woken, so a *poll-observed* deadline
+/// ([`SessionPool::poll_acquire_deadline`]) on a pool nothing releases
 /// never fires under it: there is no timer to produce the wake. From
 /// synchronous code use [`SessionPool::acquire_timeout`] (its parked
-/// thread times out on its own); reserve the deadline future for
-/// executors with a periodic tick.
+/// thread times out on its own).
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     /// Waker that unparks the blocked thread.
     struct ThreadWaker(Thread);
@@ -1005,10 +945,9 @@ impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for SessionPool<'_, P
     }
 }
 
-/// Default hash seed for [`Router::new`]; an arbitrary odd 64-bit
-/// constant (splitmix64's increment) so shard placement is stable across
-/// runs unless a seed is chosen explicitly.
-const DEFAULT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The router's hash seed; an arbitrary odd 64-bit constant
+/// (splitmix64's increment), so shard placement is stable across runs.
+const ROUTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A fixed-fanout shard router: `N` independent [`Database`] instances
 /// behind one seeded-hash key map, for `N×P` aggregate session capacity.
@@ -1025,29 +964,16 @@ const DEFAULT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// sweeps (stats, GC checks) go through [`Router::iter`].
 pub struct Router<P: TreeParams, M: VersionMaintenance = PswfVm> {
     shards: Box<[Database<P, M>]>,
-    seed: u64,
 }
 
 impl<P: TreeParams> Router<P, PswfVm> {
     /// `shards` empty PSWF databases with `processes_per_shard` pids
-    /// each, keyed with the default seed.
+    /// each.
     ///
     /// # Panics
     /// If `shards == 0` or `processes_per_shard == 0`.
     pub fn new(shards: usize, processes_per_shard: usize) -> Self {
-        Self::with_seed(shards, processes_per_shard, DEFAULT_SEED)
-    }
-
-    /// [`Router::new`] with an explicit hash seed (e.g. to de-correlate
-    /// two routers over the same key population).
-    pub fn with_seed(shards: usize, processes_per_shard: usize, seed: u64) -> Self {
-        assert!(processes_per_shard > 0, "shards need at least one pid");
-        Self::from_databases(
-            (0..shards)
-                .map(|_| Database::new(processes_per_shard))
-                .collect(),
-            seed,
-        )
+        Self::build(shards, processes_per_shard, Database::new)
     }
 }
 
@@ -1057,27 +983,22 @@ impl<P: TreeParams> Router<P, Box<dyn VersionMaintenance>> {
     /// # Panics
     /// If `shards == 0` or `processes_per_shard == 0`.
     pub fn with_kind(kind: VmKind, shards: usize, processes_per_shard: usize) -> Self {
-        assert!(processes_per_shard > 0, "shards need at least one pid");
-        Self::from_databases(
-            (0..shards)
-                .map(|_| Database::with_kind(kind, processes_per_shard))
-                .collect(),
-            DEFAULT_SEED,
-        )
+        Self::build(shards, processes_per_shard, |p| {
+            Database::with_kind(kind, p)
+        })
     }
 }
 
 impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
-    /// Assemble a router from pre-built shard databases (heterogeneous
-    /// sizing, pre-seeded contents, custom VM instances).
-    ///
-    /// # Panics
-    /// If `databases` is empty.
-    pub fn from_databases(databases: Vec<Database<P, M>>, seed: u64) -> Self {
-        assert!(!databases.is_empty(), "router needs at least one shard");
+    fn build(
+        shards: usize,
+        processes_per_shard: usize,
+        database: impl Fn(usize) -> Database<P, M>,
+    ) -> Self {
+        assert!(shards > 0, "router needs at least one shard");
+        assert!(processes_per_shard > 0, "shards need at least one pid");
         Router {
-            shards: databases.into_boxed_slice(),
-            seed,
+            shards: (0..shards).map(|_| database(processes_per_shard)).collect(),
         }
     }
 
@@ -1095,7 +1016,7 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
     /// lifetime: the same key always lands on the same shard.
     pub fn shard_for<K: Hash + ?Sized>(&self, key: &K) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        hasher.write_u64(self.seed);
+        hasher.write_u64(ROUTER_SEED);
         key.hash(&mut hasher);
         (hasher.finish() % self.shards.len() as u64) as usize
     }
@@ -1104,28 +1025,15 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
     /// computed (or pinned) a placement themselves.
     ///
     /// # Panics
-    /// If `index >= shards()`; [`Router::try_with_shard`] is the
-    /// non-panicking form.
+    /// If `index >= shards()`.
     pub fn with_shard(&self, index: usize) -> &Database<P, M> {
         &self.shards[index]
-    }
-
-    /// [`Router::with_shard`] without the panic: `None` when `index` is
-    /// not a shard (e.g. an index computed against a differently-sized
-    /// router).
-    pub fn try_with_shard(&self, index: usize) -> Option<&Database<P, M>> {
-        self.shards.get(index)
-    }
-
-    /// The shard database `key` routes to.
-    pub fn database_for<K: Hash + ?Sized>(&self, key: &K) -> &Database<P, M> {
-        self.with_shard(self.shard_for(key))
     }
 
     /// Lease a session on `key`'s shard, parking FIFO (per shard) until
     /// one of that shard's pids frees.
     pub fn session<K: Hash + ?Sized>(&self, key: &K) -> Session<'_, P, M> {
-        self.database_for(key).pool().acquire()
+        self.with_shard(self.shard_for(key)).pool().acquire()
     }
 
     /// Iterate the shards in index order — the cross-shard sweep for
@@ -1328,16 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_async_timeout_resolves_on_free_pid() {
-        let db: Database<U64Map> = Database::new(1);
-        let pool = db.pool();
-        let mut s = block_on(pool.acquire_async_timeout(Duration::from_secs(5))).unwrap();
-        s.insert(1, 1);
-        drop(s);
-        assert_eq!(db.sessions_leased(), 0);
-    }
-
-    #[test]
     fn lease_guard_normal_drop_releases_pid() {
         let db: Database<U64Map> = Database::new(1);
         let pool = db.pool();
@@ -1451,18 +1349,6 @@ mod tests {
         assert_eq!(router.live_versions(), 4, "one live version per shard");
         assert_eq!(router.sessions_leased(), 0);
         assert_eq!(router.capacity(), 8);
-    }
-
-    #[test]
-    fn router_seed_changes_placement_space() {
-        // Different seeds must not produce identical placement for every
-        // key (2^-64-ish chance per key of colliding by accident).
-        let a: Router<U64Map> = Router::with_seed(8, 1, 1);
-        let b: Router<U64Map> = Router::with_seed(8, 1, 2);
-        let moved = (0u64..256)
-            .filter(|k| a.shard_for(k) != b.shard_for(k))
-            .count();
-        assert!(moved > 0, "seed has no effect on placement");
     }
 
     #[test]

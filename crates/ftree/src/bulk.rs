@@ -12,9 +12,9 @@
 //! GC stays precise even for temporaries) and returns an owned result.
 
 use crate::forest::Forest;
-use crate::node::Root;
+use crate::node::{Node, Root};
 use crate::params::{par_cutoff, TreeParams};
-use mvcc_plm::OptNodeId;
+use mvcc_plm::{OptNodeId, Run};
 
 impl<P: TreeParams> Forest<P> {
     /// Fork the two halves onto the work-stealing pool when `par` and
@@ -165,26 +165,40 @@ impl<P: TreeParams> Forest<P> {
 
     /// Build a tree from a strictly-sorted slice of entries (clones them).
     /// O(n) work, O(log n) span.
+    ///
+    /// The `n` nodes come from one [`Arena::run`](mvcc_plm::Arena::run):
+    /// the allocator is entered once, and each node costs a plain write
+    /// and one `Release` store. They are filled in post-order (left
+    /// subtree, right subtree, then the node), so in a fresh arena the
+    /// tree gets the ids a node-by-node build would give it. Above the
+    /// parallel cutoff the two subtrees fill disjoint halves of the run
+    /// under the pool. A panic out of `P`'s hooks mid-build leaks the
+    /// whole run (see [`Arena::run`](mvcc_plm::Arena::run)).
     pub fn build_sorted(&self, items: &[(P::K, P::V)]) -> Root {
         debug_assert!(
             items.windows(2).all(|w| w[0].0 < w[1].0),
             "build_sorted requires strictly increasing keys"
         );
-        self.build_rec(items)
+        self.arena()
+            .run(items.len(), |run| self.build_run(items, run))
     }
 
-    fn build_rec(&self, items: &[(P::K, P::V)]) -> Root {
+    /// Build `items` into `run`, which holds exactly one slot per item.
+    fn build_run(&self, items: &[(P::K, P::V)], run: Run<'_, Node<P>>) -> Root {
+        debug_assert_eq!(run.len(), items.len());
         if items.is_empty() {
             return OptNodeId::NONE;
         }
         let mid = items.len() / 2;
-        let (k, v) = items[mid].clone();
+        let (left, rest) = run.split_at(mid);
+        let (right, mut slot) = rest.split_at(items.len() - mid - 1);
         let (l, r) = self.maybe_join(
             items.len() > par_cutoff(),
-            || self.build_rec(&items[..mid]),
-            || self.build_rec(&items[mid + 1..]),
+            || self.build_run(&items[..mid], left),
+            || self.build_run(&items[mid + 1..], right),
         );
-        OptNodeId::some(self.make(l, k, v, r))
+        let (k, v) = items[mid].clone();
+        OptNodeId::some(slot.fill(self.assemble(l, k, v, r)))
     }
 
     /// Apply a whole batch of insertions atomically — PAM's `multi_insert`,
@@ -192,6 +206,10 @@ impl<P: TreeParams> Forest<P> {
     /// The batch need not be sorted; duplicate keys inside the batch are
     /// merged left-to-right with `combine`, then merged into the map with
     /// `combine(old_value, batch_value)`. Consumes `t`.
+    ///
+    /// The merged batch becomes a tree through [`Forest::build_sorted`],
+    /// so its nodes cost one arena run; only the `union` that merges it
+    /// into `t` allocates node by node.
     pub fn multi_insert(
         &self,
         t: Root,
@@ -254,6 +272,8 @@ mod tests {
     use super::*;
     use crate::params::{SumU64Map, U64Map};
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Arc;
 
     fn from_pairs(f: &Forest<U64Map>, pairs: &[(u64, u64)]) -> Root {
         let mut t = f.empty();
@@ -451,5 +471,174 @@ mod tests {
         f.release(t);
         f.release(t2);
         assert_eq!(f.arena().live(), 0);
+    }
+
+    /// The reference: `build_sorted`'s shape, one `make` per node.
+    fn build_by_node<P: TreeParams>(f: &Forest<P>, items: &[(P::K, P::V)]) -> Root {
+        if items.is_empty() {
+            return OptNodeId::NONE;
+        }
+        let mid = items.len() / 2;
+        let l = build_by_node(f, &items[..mid]);
+        let r = build_by_node(f, &items[mid + 1..]);
+        let (k, v) = items[mid].clone();
+        OptNodeId::some(f.make(l, k, v, r))
+    }
+
+    fn post_order_ids<P: TreeParams>(f: &Forest<P>, t: Root, out: &mut Vec<u32>) {
+        if let Some(id) = t.get() {
+            let n = f.arena().get(id);
+            post_order_ids(f, n.left, out);
+            post_order_ids(f, n.right, out);
+            out.push(id.index());
+        }
+    }
+
+    #[test]
+    fn a_run_built_tree_equals_a_node_by_node_build() {
+        // 5 000 is past the parallel cutoff, so the run is also filled
+        // by forked halves.
+        for n in [0u64, 1, 2, 3, 7, 100, 1000, 5000] {
+            let items: Vec<(u64, u64)> = (0..n).map(|k| (k * 3, k + 1)).collect();
+            let (run, node) = (Forest::<SumU64Map>::new(), Forest::<SumU64Map>::new());
+            let (a, b) = (run.build_sorted(&items), build_by_node(&node, &items));
+            assert_eq!(run.to_vec(a), items);
+            assert_eq!(run.to_vec(a), node.to_vec(b));
+            assert_eq!(run.aug_total(a), node.aug_total(b));
+            assert_eq!(run.check_invariants(a), n as usize);
+            assert_eq!(run.arena().live(), n);
+            assert_eq!(run.arena().stats().allocated_total, n);
+            // A fresh arena: the same post-order ids, 0..n.
+            let (mut ids_a, mut ids_b) = (Vec::new(), Vec::new());
+            post_order_ids(&run, a, &mut ids_a);
+            post_order_ids(&node, b, &mut ids_b);
+            assert_eq!(ids_a, ids_b);
+            assert_eq!(ids_a, (0..n as u32).collect::<Vec<_>>());
+            run.release(a);
+            node.release(b);
+            assert_eq!(run.arena().live(), 0);
+        }
+    }
+
+    /// A value that counts its live instances, and a map whose
+    /// augmentation panics on one key.
+    #[derive(Debug)]
+    struct Counted(Arc<AtomicI64>);
+
+    impl Counted {
+        fn new(live: &Arc<AtomicI64>) -> Self {
+            live.fetch_add(1, Ordering::Relaxed);
+            Counted(live.clone())
+        }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted::new(&self.0)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    const BOMB_KEY: u64 = 3_000;
+
+    struct BombMap;
+
+    impl TreeParams for BombMap {
+        type K = u64;
+        type V = Counted;
+        type Aug = ();
+
+        fn aug_id() {}
+        fn make_aug(k: &u64, _: &Counted) {
+            assert_ne!(*k, BOMB_KEY, "augmentation hook failed");
+        }
+        fn combine(_: &(), _: &()) {}
+    }
+
+    #[test]
+    fn a_build_that_panics_leaks_its_run_and_drops_nothing_twice() {
+        let n = 5_000u64;
+        let live = Arc::new(AtomicI64::new(0));
+        let items: Vec<(u64, Counted)> = (0..n).map(|k| (k, Counted::new(&live))).collect();
+        assert_eq!(live.load(Ordering::Relaxed), n as i64);
+        let f: Forest<BombMap> = Forest::new();
+        let built =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.build_sorted(&items)));
+        assert!(built.is_err(), "the hook must have fired");
+        // Every slot of the run stays counted: exactly what leaked.
+        assert_eq!(f.arena().live(), n);
+        drop(f);
+        drop(items);
+        assert_eq!(
+            live.load(Ordering::Relaxed),
+            0,
+            "each value dropped exactly once"
+        );
+    }
+
+    /// Carved ids after each of `rounds` rounds of a batch insert and its
+    /// removal against a 1 000-key map; the writer pins shard 0. With
+    /// `hold`, another thread, pinned to shard 1, holds the version
+    /// before each round and releases the previous one, so the displaced
+    /// paths free into its shard. Small enough to stay sequential.
+    fn carved_per_round(hold: bool, rounds: u64) -> Vec<u64> {
+        use std::sync::mpsc;
+        let f: Forest<U64Map> = Forest::new();
+        let base: Vec<(u64, u64)> = (0..1000u64).map(|k| (2 * k, k)).collect();
+        let (snaps, held) = mpsc::channel::<Root>();
+        let (ack, acked) = mpsc::channel::<()>();
+        let marks = std::thread::scope(|s| {
+            let f = &f;
+            if hold {
+                s.spawn(move || {
+                    f.with_ctx(f.ctx_for(1), || {
+                        let mut last = f.empty();
+                        for snap in held {
+                            f.release(std::mem::replace(&mut last, snap));
+                            ack.send(()).unwrap();
+                        }
+                        f.release(last);
+                    })
+                });
+            }
+            f.with_ctx(f.ctx_for(0), || {
+                let mut t = f.build_sorted(&base);
+                let mut marks = Vec::new();
+                for round in 0..rounds {
+                    if hold {
+                        f.retain(t);
+                        snaps.send(t).unwrap();
+                        acked.recv().unwrap();
+                    }
+                    let keys: Vec<u64> =
+                        (0..300).map(|i| 2 * ((i * 7 + round) % 1000) + 1).collect();
+                    t = f.multi_insert(t, keys.iter().map(|&k| (k, round)).collect(), |_o, n| *n);
+                    t = f.multi_remove(t, keys);
+                    marks.push(f.arena().stats().carved);
+                }
+                f.release(t);
+                drop(snaps);
+                marks
+            })
+        });
+        assert_eq!(f.arena().live(), 0);
+        marks
+    }
+
+    #[test]
+    fn steady_bulk_writes_stop_growing_the_arena() {
+        let marks = carved_per_round(false, 40);
+        assert_eq!(marks[4], marks[39], "carved ids kept rising: {marks:?}");
+    }
+
+    #[test]
+    fn bulk_writes_reuse_what_a_snapshot_holder_frees_into_its_shard() {
+        let marks = carved_per_round(true, 40);
+        assert_eq!(marks[4], marks[39], "carved ids kept rising: {marks:?}");
     }
 }

@@ -166,8 +166,15 @@ impl<P: TreeParams> Forest<P> {
 
     /// Create a node owning `l` and `r` (ownership of both transfers in).
     pub(crate) fn make(&self, l: Root, key: P::K, value: P::V, r: Root) -> NodeId {
+        self.arena.alloc(self.assemble(l, key, value, r))
+    }
+
+    /// The node [`Forest::make`] allocates, with its cached fields
+    /// computed but no slot yet: bulk builds publish it into a run.
+    #[inline]
+    pub(crate) fn assemble(&self, l: Root, key: P::K, value: P::V, r: Root) -> Node<P> {
         let Summary { aug, size, hl, hr } = self.summarize(l, &key, &value, r);
-        self.arena.alloc(Node {
+        Node {
             key,
             value,
             aug,
@@ -175,7 +182,7 @@ impl<P: TreeParams> Forest<P> {
             height: 1 + hl.max(hr),
             left: l,
             right: r,
-        })
+        }
     }
 
     /// Destructure an owned node into `(left, key, value, right)`,

@@ -49,6 +49,24 @@
 //! shard collected them); ids, generations and metadata are global so
 //! this is invisible to readers.
 //!
+//! A bulk build knows up front how many tuples it creates, and takes
+//! them all at once as a [`Run`] ([`Arena::run`]). One owner — the
+//! calling thread, through its context — gets `n` slots that sit on no
+//! freelist and in no window, so no other allocator can see them, and
+//! the run counts all `n` in the shard's `allocated` with one
+//! `fetch_add`. The owner publishes each slot with a plain value write
+//! and one `Release` store of its metadata, and may split the run into
+//! disjoint parts for other threads to fill. Recycled slots come first:
+//! the caller's freelist, then each sibling's, every chain taken whole
+//! with one tagged CAS and its unused remainder handed back with one
+//! more. Only the rest is carved from the global cursor as one range,
+//! with one prefix expose. Carving first would leave freed slots idle
+//! while a build-heavy steady state raised the high-water mark
+//! ([`ArenaStats::carved`]) by every build. A run abandoned part-filled
+//! (a builder that panics) leaks whole: [`Arena::live`] keeps counting
+//! its `n` slots; the filled ones stay occupied and drop with the
+//! arena, once; the unfilled ones read as free and drop nothing.
+//!
 //! [`Arena::collect`] additionally *buffers* frees: freed slots are
 //! linked into a private chain (through their own metadata words — no
 //! side buffer) and spliced onto the shard freelist with one CAS per
@@ -218,9 +236,13 @@ pub struct ArenaStats {
     /// Currently allocated (not yet freed) slots. Always *derived*:
     /// `allocated_total − freed_total` of this same snapshot (the arena
     /// keeps no separate live counter), so it is exact in quiescence and
-    /// within the in-flight calls of either total otherwise. The arena
-    /// keeps no high-water mark: a caller that wants one samples this.
+    /// within the in-flight calls of either total otherwise.
     pub live: u64,
+    /// Ids ever carved from the arena's never-used space. Every slot
+    /// ever handed out lies below it, so it is the high-water mark of
+    /// the arena's footprint: it rises only when the shards' freelists
+    /// cannot cover an allocation, and never falls.
+    pub carved: u64,
     /// Number of allocator shards.
     pub shards: u64,
 }
@@ -537,16 +559,132 @@ impl<T: Tuple> Arena<T> {
             .or_else(|| self.pop_fresh(shard))
             .or_else(|| self.steal(ctx))
             .unwrap_or_else(|| self.refill_fresh(shard));
+        self.publish(id, value);
+        shard.allocated.fetch_add(1, Ordering::Relaxed);
+        id
+    }
+
+    /// Write `value` into the free slot `id`, which the caller owns (it
+    /// is on no freelist and in no fresh window), and publish it with
+    /// count 1.
+    #[inline]
+    fn publish(&self, id: NodeId, value: T) {
         let slot = self.slot(id);
-        let gen = (slot.meta.load(Ordering::Acquire) & GEN_MASK) >> GEN_SHIFT;
+        let gen = slot.meta.load(Ordering::Acquire) & GEN_MASK;
+        // SAFETY: the slot is free and owned by the caller alone, so no
+        // other thread reads or writes its value.
         unsafe {
             (*slot.value.get()).write(value);
         }
         // Publish: value write happens-before any Acquire load of the meta.
-        slot.meta
-            .store(OCCUPIED | (gen << GEN_SHIFT) | 1, Ordering::Release);
-        shard.allocated.fetch_add(1, Ordering::Relaxed);
-        id
+        slot.meta.store(OCCUPIED | gen | 1, Ordering::Release);
+    }
+
+    /// Hand the calling thread's context `n` slots as one [`Run`], and
+    /// run `f` with it. The run counts all `n` in the allocation totals
+    /// at once; `f` then publishes each slot with [`Run::fill`], a plain
+    /// value write and one `Release` store, with no CAS and no counter.
+    ///
+    /// Recycled slots come first: this shard's freelist, then each
+    /// sibling's, each taken whole with one tagged CAS and its unused
+    /// remainder handed back with one more. Only what they lack is
+    /// carved from the global fresh cursor, as one range. So a fresh
+    /// arena fills ids `start..start + n` in order, and a build-heavy
+    /// steady state reuses what it frees instead of growing the arena.
+    ///
+    /// Every slot of the run should be filled. One that is not — `f`
+    /// panicked part-way, say — leaks: it stays counted in
+    /// [`Arena::live`] and is never handed out again. A filled slot
+    /// stays occupied and its value drops with the arena, once; an
+    /// unfilled one reads as free, so nothing is dropped twice.
+    pub fn run<R>(&self, n: usize, f: impl FnOnce(Run<'_, T>) -> R) -> R {
+        let ctx = self.ctx();
+        let own = (ctx.shard & self.shard_mask) as usize;
+        let mut recycled = Vec::new();
+        for i in 0..self.shards.len() {
+            if recycled.len() == n {
+                break;
+            }
+            let shard = &self.shards[(own + i) & self.shard_mask as usize];
+            self.take_chain(shard, n, &mut recycled);
+        }
+        let mut fresh = 0..0;
+        let carve = (n - recycled.len()) as u64;
+        if carve > 0 {
+            let start = self.next_fresh.fetch_add(carve, Ordering::Relaxed);
+            let end = start + carve;
+            assert!(end <= Self::capacity(), "arena capacity exhausted");
+            self.pages.expose(end as usize * size_of::<Slot<T>>());
+            fresh = start as u32..end as u32;
+        }
+        self.shard(ctx)
+            .allocated
+            .fetch_add(n as u64, Ordering::Relaxed);
+        f(Run {
+            arena: self,
+            recycled: &recycled,
+            fresh,
+        })
+    }
+
+    /// Move recycled slots of `shard` into `out` until it holds `want`.
+    /// The whole freelist is taken with one tagged CAS and walked
+    /// privately; an unused remainder goes back with [`Arena::give_back`].
+    fn take_chain(&self, shard: &Shard, want: usize, out: &mut Vec<NodeId>) {
+        let mut next = loop {
+            let head = shard.free_head.load(Ordering::Acquire);
+            let idx = (head & LOW_MASK) as u32;
+            if idx == NIL {
+                return;
+            }
+            let empty = (((head >> 32) + 1) << 32) | NIL as u64;
+            if shard
+                .free_head
+                .compare_exchange_weak(head, empty, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                break idx;
+            }
+        };
+        // The chain's links were written before the `Release` CASes that
+        // pushed them, and every write to the head is such a CAS, so the
+        // `Acquire` CAS above makes every link readable; the slots are
+        // now this thread's alone.
+        while next != NIL && out.len() < want {
+            out.push(NodeId(next));
+            next = (self.slot(NodeId(next)).meta.load(Ordering::Relaxed) & LOW_MASK) as u32;
+        }
+        if next != NIL {
+            self.give_back(shard, next);
+        }
+    }
+
+    /// Return a privately held, `NIL`-terminated chain of free slots to
+    /// `shard`: one CAS while the freelist is still empty, else a walk to
+    /// the chain's tail and a splice.
+    fn give_back(&self, shard: &Shard, head: u32) {
+        loop {
+            let old = shard.free_head.load(Ordering::Acquire);
+            if old & LOW_MASK != NIL as u64 {
+                // The chain is still this thread's alone (`take_chain`).
+                let (mut tail, mut meta) =
+                    (head, self.slot(NodeId(head)).meta.load(Ordering::Relaxed));
+                while meta & LOW_MASK != NIL as u64 {
+                    tail = (meta & LOW_MASK) as u32;
+                    meta = self.slot(NodeId(tail)).meta.load(Ordering::Relaxed);
+                }
+                let tail_gen = (meta & GEN_MASK) >> GEN_SHIFT;
+                return self.push_free_chain(shard, head, tail, tail_gen);
+            }
+            let new_head = (((old >> 32) + 1) << 32) | head as u64;
+            if shard
+                .free_head
+                .compare_exchange_weak(old, new_head, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return;
+            }
+        }
     }
 
     /// Read a tuple. Panics if the slot has been freed and not reused (a
@@ -792,21 +930,94 @@ impl<T: Tuple> Arena<T> {
             allocated_total,
             freed_total,
             live: allocated_total.saturating_sub(freed_total),
+            carved: self.carved(),
             shards: self.shards.len() as u64,
         }
+    }
+
+    /// Ids ever carved from the global fresh cursor.
+    fn carved(&self) -> u64 {
+        self.next_fresh
+            .load(Ordering::Acquire)
+            .min(Self::capacity())
+    }
+}
+
+/// Slots that [`Arena::run`] handed to one owner, filled front to back
+/// with [`Run::fill`]: the recycled slots first, then a fresh range.
+/// [`Run::split_at`] cuts it into disjoint runs that separate threads
+/// may fill in parallel. A run is not `Clone`, so no slot is filled
+/// twice.
+pub struct Run<'r, T: Tuple> {
+    arena: &'r Arena<T>,
+    recycled: &'r [NodeId],
+    fresh: std::ops::Range<u32>,
+}
+
+impl<'r, T: Tuple> Run<'r, T> {
+    /// Slots left to fill.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.recycled.len() + self.fresh.len()
+    }
+
+    /// Whether every slot has been filled.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Split into the first `mid` slots and the rest.
+    ///
+    /// Panics if `mid > self.len()`.
+    pub fn split_at(self, mid: usize) -> (Self, Self) {
+        assert!(mid <= self.len(), "run split past its end");
+        let Run {
+            arena,
+            recycled,
+            fresh,
+        } = self;
+        let (head, tail) = recycled.split_at(mid.min(recycled.len()));
+        let cut = fresh.start + (mid - head.len()) as u32;
+        (
+            Run {
+                arena,
+                recycled: head,
+                fresh: fresh.start..cut,
+            },
+            Run {
+                arena,
+                recycled: tail,
+                fresh: cut..fresh.end,
+            },
+        )
+    }
+
+    /// Publish `value` in the run's next slot with count 1, owned by the
+    /// caller exactly as [`Arena::alloc`]'s result is (children inside
+    /// `value` transfer in), and return its id.
+    ///
+    /// Panics if the run is empty.
+    #[inline]
+    pub fn fill(&mut self, value: T) -> NodeId {
+        let id = match self.recycled.split_first() {
+            Some((&id, rest)) => {
+                self.recycled = rest;
+                id
+            }
+            None => NodeId(self.fresh.next().expect("fill past the end of a run")),
+        };
+        self.arena.publish(id, value);
+        id
     }
 }
 
 impl<T: Tuple> Drop for Arena<T> {
     fn drop(&mut self) {
         // Drop any still-occupied values; the reservation unmaps itself.
-        // `next_fresh` bounds every id ever handed out (ids beyond the
+        // The carved ids bound every id ever handed out (ids beyond the
         // shard cursors inside carved blocks have zeroed metadata).
-        let fresh = self
-            .next_fresh
-            .load(Ordering::Acquire)
-            .min(Self::capacity());
-        for raw in 0..fresh as u32 {
+        for raw in 0..self.carved() as u32 {
             let slot = self.slot(NodeId(raw));
             if slot.meta.load(Ordering::Acquire) & OCCUPIED != 0 {
                 // SAFETY: an occupied slot holds an initialized value,
@@ -1454,5 +1665,119 @@ mod tests {
             arena.collect(id);
         }
         assert_eq!(arena.live(), 0);
+    }
+
+    #[test]
+    fn a_run_takes_recycled_slots_before_carving() {
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(4);
+        let (own, sibling) = (arena.ctx_for(0), arena.ctx_for(1));
+        let a: Vec<_> = (0..10).map(|i| arena.alloc_in(own, Leaf(i))).collect();
+        let b: Vec<_> = (0..10).map(|i| arena.alloc_in(sibling, Leaf(i))).collect();
+        let mut recycled = std::collections::BTreeSet::new();
+        for &id in &a[..5] {
+            arena.collect_in(own, id);
+            recycled.insert(id);
+        }
+        for &id in &b[..6] {
+            arena.collect_in(sibling, id);
+            recycled.insert(id);
+        }
+        let before = arena.stats();
+        let gens: Vec<u32> = recycled.iter().map(|&id| arena.generation(id)).collect();
+        let ids: Vec<NodeId> = arena.with_ctx(own, || {
+            arena.run(15, |mut run| {
+                assert_eq!(run.len(), 15);
+                (0..15).map(|i| run.fill(Leaf(100 + i))).collect()
+            })
+        });
+        let after = arena.stats();
+        // Own freelist first, then the sibling's, then one carved range.
+        let (taken, carved) = ids.split_at(11);
+        assert!(taken[..5].iter().all(|id| a[..5].contains(id)));
+        assert!(taken[5..].iter().all(|id| b[..6].contains(id)));
+        assert_eq!(
+            taken
+                .iter()
+                .copied()
+                .collect::<std::collections::BTreeSet<_>>(),
+            recycled
+        );
+        let start = before.carved as u32;
+        assert_eq!(carved, (start..start + 4).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(after.carved, before.carved + 4);
+        assert_eq!(after.allocated_total, before.allocated_total + 15);
+        assert_eq!(after.live, before.live + 15);
+        for (&id, gen) in recycled.iter().zip(gens) {
+            assert_eq!(arena.generation(id), gen, "a run keeps the bumped tag");
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(arena.get(id).0, 100 + i as u64);
+            assert_eq!(arena.rc(id), 1);
+            arena.collect(id);
+        }
+        assert_eq!(arena.live(), 9);
+    }
+
+    #[test]
+    fn a_run_hands_back_the_recycled_slots_it_does_not_use() {
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(2);
+        let ctx = arena.ctx_for(0);
+        let ids: Vec<_> = (0..10).map(|i| arena.alloc_in(ctx, Leaf(i))).collect();
+        for &id in &ids {
+            arena.collect_in(ctx, id);
+        }
+        let carved = arena.stats().carved;
+        let run: Vec<_> = arena.with_ctx(ctx, || {
+            arena.run(3, |mut run| (0..3).map(|i| run.fill(Leaf(i))).collect())
+        });
+        // The other seven are back on the freelist: recycled, not carved.
+        let rest: Vec<_> = (0..7).map(|i| arena.alloc_in(ctx, Leaf(i))).collect();
+        let mut reused: Vec<_> = run.iter().chain(&rest).copied().collect();
+        reused.sort();
+        assert_eq!(reused, ids);
+        assert_eq!(arena.stats().carved, carved);
+        // A run that finds no recycled slot at all is one fresh range.
+        let fresh: Vec<_> = arena.run(5, |run| {
+            let (mut head, mut tail) = run.split_at(2);
+            let mut out = vec![tail.fill(Leaf(2)), head.fill(Leaf(0)), head.fill(Leaf(1))];
+            out.extend([tail.fill(Leaf(3)), tail.fill(Leaf(4))]);
+            out
+        });
+        let c = carved as u32;
+        assert_eq!(fresh, [c + 2, c, c + 1, c + 3, c + 4].map(NodeId));
+        assert_eq!(arena.stats().carved, carved + 5);
+        for id in run.into_iter().chain(rest).chain(fresh) {
+            arena.collect(id);
+        }
+        assert_eq!(arena.live(), 0);
+    }
+
+    #[test]
+    fn a_run_abandoned_by_a_panic_leaks_without_a_double_drop() {
+        struct Probe(Arc<std::sync::atomic::AtomicU64>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let arena: Arena<Leaf<Probe>> = Arena::with_shards(1);
+        let freed = arena.alloc(Leaf(Probe(drops.clone())));
+        arena.collect(freed); // one recycled slot, so the run mixes both kinds
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            arena.run(5, |mut run| {
+                run.fill(Leaf(Probe(drops.clone())));
+                run.fill(Leaf(Probe(drops.clone())));
+                panic!("builder gave up");
+            })
+        }));
+        assert!(unwound.is_err());
+        // The whole run stays counted; its two values drop once, with
+        // the arena, and its three unfilled slots drop nothing.
+        assert_eq!(arena.live(), 5);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        drop(arena);
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
     }
 }

@@ -24,7 +24,9 @@
 //!   stacks: allocation and collection route through a per-thread (or
 //!   explicitly pinned, see [`AllocCtx`]) shard so concurrent writers do
 //!   not serialize on one freelist head, stealing from sibling shards
-//!   only when their own runs dry.
+//!   only when their own runs dry. A bulk build takes all its slots at
+//!   once as a [`Run`] ([`Arena::run`]): recycled slots first, the rest
+//!   carved as one range, each filled with plain stores.
 //! * Per-slot atomic reference counts with an *ownership* convention:
 //!   `rc` equals the number of owners (parent tuples + external handles).
 //!   [`Arena::alloc`] returns a node owned by the caller (`rc == 1`);
@@ -85,7 +87,7 @@ mod arena;
 mod id;
 mod pages;
 
-pub use arena::{AllocCtx, Arena, ArenaStats, PinGuard};
+pub use arena::{AllocCtx, Arena, ArenaStats, PinGuard, Run};
 pub use id::{NodeId, OptNodeId};
 
 /// A tuple type storable in the [`Arena`].

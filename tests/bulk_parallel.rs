@@ -172,3 +172,43 @@ fn single_thread_fallback_is_equivalent_and_spawns_nothing() {
     });
     assert_eq!(seq, expected);
 }
+
+/// `build_sorted` fills one arena run; on a 4-worker pool, forked
+/// halves fill disjoint parts of it. The tree equals the sequential
+/// build's node for node, ids included: a run's ids follow post-order,
+/// whichever thread fills them.
+#[test]
+fn pooled_build_equals_the_sequential_one() {
+    fn post_order(f: &Forest<U64Map>, t: Root, out: &mut Vec<(u32, u64, u64, u32)>) {
+        if let Some(id) = t.get() {
+            let n = f.arena().get(id);
+            post_order(f, n.left(), out);
+            post_order(f, n.right(), out);
+            out.push((id.index(), *n.key(), *n.value(), n.size()));
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(0xB11D_5EED);
+    for n in [1, 191, 193, 5_000, 20_000] {
+        let items = random_pairs(&mut rng, n, 1 << 40);
+        let run = |threads: usize| {
+            with_pool(threads, || {
+                assert_eq!(pool::current_num_threads(), threads);
+                let f: Forest<U64Map> = Forest::new();
+                let t = f.build_sorted(&items);
+                assert_eq!(f.check_invariants(t), items.len());
+                assert_eq!(f.arena().live(), items.len() as u64);
+                let mut nodes = Vec::new();
+                post_order(&f, t, &mut nodes);
+                f.release(t);
+                assert_eq!(f.arena().live(), 0);
+                nodes
+            })
+        };
+        let (pooled, sequential) = (run(4), run(1));
+        assert_eq!(pooled, sequential, "n = {n}");
+        assert!(pooled
+            .iter()
+            .enumerate()
+            .all(|(i, &(id, ..))| id == i as u32));
+    }
+}

@@ -18,7 +18,11 @@ use multiversion::core::{
     Durability, DurableConfig, DurableDatabase, DurableError, GroupCommit, WriteTxn,
 };
 use multiversion::ftree::U64Map;
-use multiversion::wal::{is_segment_name, FaultPlan, FaultStorage, RetryPolicy};
+use multiversion::wal::{
+    checkpoint, is_segment_name, FaultPlan, FaultStorage, RetryPolicy, Wal, WalCodec, WalConfig,
+    WalOp,
+};
+use rand::{Rng, SeedableRng, SmallRng};
 
 /// Small segments so sweeps exercise rotation and checkpoint truncation,
 /// and a short backoff so crashed appends fail fast.
@@ -207,6 +211,149 @@ fn zero_padded_segments_reopen_clean_on_real_files() {
     drop(db);
     clean(&recover(), 21);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One generated write of [`replay_matches_a_per_batch_replayer_at_every_tear`].
+#[derive(Debug, Clone)]
+enum GenOp {
+    Put(u64, u64),
+    Del(u64),
+    MultiPut(Vec<(u64, u64)>),
+    MultiDel(Vec<u64>),
+}
+
+/// Random batches over a few keys. Batches 0–2 insert, remove and
+/// re-insert key 0, so the net effect per key depends on commit order.
+fn random_batches(rng: &mut SmallRng) -> Vec<Vec<GenOp>> {
+    let mut batches = vec![
+        vec![GenOp::Put(0, 1)],
+        vec![GenOp::Del(0)],
+        vec![GenOp::Put(0, 2)],
+    ];
+    for _ in 0..rng.gen_range(3..12) {
+        let ops = (0..rng.gen_range(1..5))
+            .map(|_| match rng.gen_range(0..4) {
+                0 => GenOp::Put(rng.gen_range(0..6), rng.gen_range(0..1000)),
+                1 => GenOp::Del(rng.gen_range(0..6)),
+                2 => GenOp::MultiPut(
+                    (0..rng.gen_range(1..4))
+                        .map(|_| (rng.gen_range(0..6), rng.gen_range(0..1000)))
+                        .collect(),
+                ),
+                _ => GenOp::MultiDel(
+                    (0..rng.gen_range(1..4))
+                        .map(|_| rng.gen_range(0..6))
+                        .collect(),
+                ),
+            })
+            .collect();
+        batches.push(ops);
+    }
+    batches
+}
+
+/// Commit `batches` one write each, checkpointing before batch `ckpt_at`
+/// if set; stops at the first failure.
+fn commit_batches(storage: &FaultStorage, batches: &[Vec<GenOp>], ckpt_at: Option<usize>) {
+    let Ok(db) = open(storage, Durability::Always) else {
+        return;
+    };
+    let Ok(mut session) = db.session() else {
+        return;
+    };
+    for (i, ops) in batches.iter().enumerate() {
+        if ckpt_at == Some(i) && db.checkpoint().is_err() {
+            return;
+        }
+        let commit = session.write(|txn| {
+            for op in ops {
+                match op {
+                    GenOp::Put(k, v) => txn.insert(*k, *v),
+                    GenOp::Del(k) => drop(txn.remove(k)),
+                    GenOp::MultiPut(kv) => txn.multi_insert(kv.clone(), |_old, new| *new),
+                    GenOp::MultiDel(ks) => txn.multi_remove(ks.clone()),
+                }
+            }
+        });
+        if commit.is_err() {
+            return;
+        }
+    }
+}
+
+/// The reference: the newest checkpoint, then every intact WAL batch
+/// after it applied on its own, op by op, in log order. Returns the
+/// contents, the last `commit_ts`, and the replayed and skipped batch
+/// counts.
+fn replay_per_batch(view: FaultStorage) -> (Vec<(u64, u64)>, u64, usize, usize) {
+    let storage: Arc<dyn multiversion::wal::Storage> = Arc::new(view);
+    let mut model = BTreeMap::new();
+    let mut last_ts = 0;
+    if let Some(c) = checkpoint::load_latest(&*storage).unwrap() {
+        for (k, v) in &c.entries {
+            model.insert(u64::decode(k).unwrap(), u64::decode(v).unwrap());
+        }
+        last_ts = c.ts;
+    }
+    let wal_cfg = WalConfig {
+        segment_bytes: 256,
+        ..WalConfig::default()
+    };
+    let (_wal, replay) = Wal::open(storage, wal_cfg).unwrap();
+    let (mut replayed, mut skipped) = (0, 0);
+    for b in &replay.batches {
+        if b.commit_ts <= last_ts {
+            skipped += 1;
+            continue;
+        }
+        for op in &b.ops {
+            match op {
+                WalOp::Put(k, v) => model.insert(u64::decode(k).unwrap(), u64::decode(v).unwrap()),
+                WalOp::Del(k) => model.remove(&u64::decode(k).unwrap()),
+            };
+        }
+        replayed += 1;
+        last_ts = b.commit_ts;
+    }
+    (model.into_iter().collect(), last_ts, replayed, skipped)
+}
+
+/// Recovery folds the intact WAL tail into one write. For random
+/// workloads torn at every write site, it must reach exactly the state,
+/// commit clock and report of a replayer that applies each batch on
+/// its own.
+#[test]
+fn replay_matches_a_per_batch_replayer_at_every_tear() {
+    let mut rng = SmallRng::seed_from_u64(0x7A11_F01D);
+    for case in 0..24 {
+        let batches = random_batches(&mut rng);
+        let ckpt_at = rng.gen_bool(0.5).then(|| rng.gen_range(1..batches.len()));
+        let dry = FaultStorage::unfaulted();
+        commit_batches(&dry, &batches, ckpt_at);
+        for site in 0..=dry.appends() {
+            let storage = FaultStorage::new(
+                FaultPlan {
+                    crash_at_append: (site < dry.appends()).then_some(site),
+                    ..FaultPlan::default()
+                },
+                0x5EED ^ site,
+            );
+            commit_batches(&storage, &batches, ckpt_at);
+            let view = storage.crash_view();
+            let (want, want_ts, replayed, skipped) = replay_per_batch(view.crash_view());
+            let db = open(&view, Durability::Always).unwrap();
+            let what = format!("case {case} site {site} batches {batches:?} ckpt {ckpt_at:?}");
+            assert_eq!(contents(&db), want, "{what}");
+            assert_eq!(db.last_commit_ts(), want_ts, "{what}");
+            assert_eq!(db.recovery().replayed, replayed, "{what}");
+            assert_eq!(db.recovery().skipped, skipped, "{what}");
+            if site == dry.appends() {
+                // Untorn: every batch after the checkpoint replays.
+                let covered = ckpt_at.unwrap_or(0);
+                assert_eq!(replayed, batches.len() - covered, "{what}");
+            }
+        }
+    }
 }
 
 #[test]
