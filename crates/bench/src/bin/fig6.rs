@@ -22,15 +22,15 @@ fn main() {
     println!("(paper reference points: HP = 2P, RCU = 1, EP up to ~1000)");
     println!();
     print!("{:>8}", "nu");
-    for kind in VmKind::ALL {
+    for kind in VmKind::PAPER {
         print!("{:>8}", kind.name());
     }
     println!();
-    println!("{}", "-".repeat(8 + 8 * VmKind::ALL.len()));
+    println!("{}", "-".repeat(8 + 8 * VmKind::PAPER.len()));
 
     for nu in nus {
         print!("{:>8}", nu);
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let r = run(RangeSumConfig {
                 n,
                 nq: 10,

@@ -9,9 +9,9 @@
 //! other (one queue each) and the single writer never aborts.
 //!
 //! As the paper notes, batching trades the wait-freedom of individual
-//! writes for throughput and atomicity; per-buffer watermarks let a
-//! producer wait until its operations are durable in a committed version
-//! (bounded latency, §7.2 uses 50 ms batches).
+//! writes for throughput and atomicity; per-buffer applied watermarks let
+//! a producer wait until its operations are visible in a committed
+//! version (bounded latency, §7.2 uses 50 ms batches).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,9 +19,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use mvcc_ftree::TreeParams;
 use mvcc_vm::VersionMaintenance;
-use mvcc_wal::WalCodec;
 
-use crate::durable::{DurableError, DurableSession};
 use crate::Session;
 
 /// One map update, as submitted by a producer.
@@ -100,9 +98,6 @@ struct Buffer<P: TreeParams> {
     pushed: AtomicU64,
     /// Total operations applied in committed versions (combiner-side).
     applied: AtomicU64,
-    /// Total operations whose commit's durability ack has landed
-    /// (combiner-side; trails `applied` while a group fsync is pending).
-    durable: AtomicU64,
 }
 
 impl<P: TreeParams> Buffer<P> {
@@ -134,7 +129,6 @@ impl<P: TreeParams> BatchWriter<P> {
                     queue: Mutex::new(VecDeque::with_capacity(capacity)),
                     pushed: AtomicU64::new(0),
                     applied: AtomicU64::new(0),
-                    durable: AtomicU64::new(0),
                 })
                 .collect(),
             capacity,
@@ -153,8 +147,8 @@ impl<P: TreeParams> BatchWriter<P> {
     }
 
     /// Submit an operation from `producer`. Non-blocking; returns a ticket
-    /// for durability tracking, or the operation back if the buffer is
-    /// full.
+    /// to wait on with [`BatchWriter::wait_applied`], or the operation
+    /// back if the buffer is full.
     pub fn submit(&self, producer: usize, op: MapOp<P>) -> Result<Ticket, SubmitError<P>> {
         let buf = &self.buffers[producer];
         let mut queue = buf.queue();
@@ -192,26 +186,6 @@ impl<P: TreeParams> BatchWriter<P> {
     /// Spin until [`BatchWriter::is_applied`].
     pub fn wait_applied(&self, ticket: Ticket) {
         while !self.is_applied(ticket) {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Has the operation behind `ticket` been made **durable** — applied
-    /// in a committed version whose durability ack has landed? Through
-    /// [`BatchWriter::combine`] (no WAL) this coincides with
-    /// [`BatchWriter::is_applied`]; through
-    /// [`BatchWriter::combine_durable`] under group commit it trails
-    /// `is_applied` by the group fsync.
-    pub fn is_durable(&self, ticket: Ticket) -> bool {
-        self.buffers[ticket.producer]
-            .durable
-            .load(Ordering::Acquire)
-            >= ticket.seq
-    }
-
-    /// Spin until [`BatchWriter::is_durable`].
-    pub fn wait_durable(&self, ticket: Ticket) {
-        while !self.is_durable(ticket) {
             std::thread::yield_now();
         }
     }
@@ -269,13 +243,6 @@ impl<P: TreeParams> BatchWriter<P> {
         }
     }
 
-    /// Publish durable watermarks: the commit's durability ack landed.
-    fn publish_durable(&self, per_producer: &[(usize, u64)]) {
-        for &(i, n) in per_producer {
-            self.buffers[i].durable.fetch_add(n, Ordering::Release);
-        }
-    }
-
     /// Drain all buffers and commit the batch as a single write
     /// transaction on the combiner's `session`. Returns the number of
     /// operations applied (0 = nothing pending).
@@ -310,44 +277,7 @@ impl<P: TreeParams> BatchWriter<P> {
         forest.release(ins_tree);
 
         self.publish(&batch.per_producer);
-        self.publish_durable(&batch.per_producer); // no WAL: applied = durable
         batch.total
-    }
-
-    /// [`BatchWriter::combine`] through a durable session: the whole
-    /// resolved batch commits as **one WAL record** (and one version).
-    /// Applied watermarks publish as soon as the commit is visible and
-    /// logged; durable watermarks publish once its [`crate::CommitAck`]
-    /// lands — under [`crate::GroupCommit`] coalescing, that is the
-    /// group's shared fsync, so flat-combined producers polling
-    /// [`BatchWriter::is_durable`] block only until their group's fsync.
-    /// Returns the number of operations applied.
-    ///
-    /// On a WAL publish error nothing is applied and the drained
-    /// operations are dropped (the tickets never turn applied). If the
-    /// commit lands but its *group flush* fails, applied watermarks stay
-    /// published, durable ones do not, and the flush error is returned.
-    pub fn combine_durable<M: VersionMaintenance>(
-        &self,
-        session: &mut DurableSession<'_, P, M>,
-    ) -> Result<usize, DurableError>
-    where
-        P::K: WalCodec,
-        P::V: WalCodec,
-    {
-        let Some(batch) = self.drain_resolve() else {
-            return Ok(0);
-        };
-        // The resolved values are final (last-writer-wins overwrite), so
-        // the delta log records exactly `inserts` + `removes`.
-        let (_, ack) = session.write_acked(|txn| {
-            txn.multi_insert(batch.inserts.clone(), |_old, new| new.clone());
-            txn.multi_remove(batch.removes.clone());
-        })?;
-        self.publish(&batch.per_producer);
-        ack.wait()?;
-        self.publish_durable(&batch.per_producer);
-        Ok(batch.total)
     }
 }
 
@@ -515,51 +445,6 @@ mod tests {
         // one would leak them here).
         assert_eq!(db.live_versions(), 1);
         assert_eq!(db.forest().arena().live(), 19);
-    }
-
-    #[test]
-    fn combine_durable_publishes_applied_then_durable() {
-        use crate::{DurableConfig, DurableDatabase, GroupCommit};
-        use mvcc_wal::FaultStorage;
-        use std::sync::Arc;
-
-        let storage = FaultStorage::unfaulted();
-        {
-            let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
-                Arc::new(storage.clone()),
-                2,
-                DurableConfig::default().with_group_commit(GroupCommit::Leader),
-            )
-            .unwrap();
-            let mut combiner = db.session().unwrap();
-            let bw: BatchWriter<U64Map> = BatchWriter::new(2, 64);
-            let t0 = bw.submit(0, MapOp::Insert(1, 10)).unwrap();
-            let t1 = bw.submit(1, MapOp::Insert(2, 20)).unwrap();
-            bw.submit(1, MapOp::Remove(1)).unwrap();
-            assert!(!bw.is_applied(t0));
-            assert!(!bw.is_durable(t0));
-            let applied = bw.combine_durable(&mut combiner).unwrap();
-            assert_eq!(applied, 3);
-            // combine_durable waits out the ack before returning, so both
-            // watermarks are published (a lone combiner leads its own
-            // group flush).
-            assert!(bw.is_applied(t0) && bw.is_durable(t0));
-            assert!(bw.is_applied(t1) && bw.is_durable(t1));
-            bw.wait_durable(t1);
-            assert_eq!(combiner.get(&1), None, "producer 1's remove wins");
-            assert_eq!(combiner.get(&2), Some(20));
-        }
-        // The flat-combined batch is one WAL record; it replays whole.
-        let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
-            Arc::new(storage.clone()),
-            2,
-            DurableConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(db.recovery().replayed, 1, "one record for the batch");
-        let mut s = db.session().unwrap();
-        assert_eq!(s.get(&1), None);
-        assert_eq!(s.get(&2), Some(20));
     }
 
     #[test]

@@ -177,10 +177,7 @@ pub use mvcc_vm as vm;
 /// the pool is exhausted or the requested pid is already leased.
 pub use mvcc_vm::LeaseError as SessionError;
 pub use mvcc_wal as wal;
-pub use pool::{
-    AcquireFuture, AcquireState, AcquireTimeout, LeaseGuard, LeaseRevoked, PoolStats, Router,
-    SessionPool,
-};
+pub use pool::{AcquireFuture, AcquireState, AcquireTimeout, PoolStats, Router, SessionPool};
 pub use session::{Session, SessionReadGuard, WriteTxn};
 
 #[inline]
@@ -226,9 +223,6 @@ pub struct Database<P: TreeParams, M: VersionMaintenance = PswfVm> {
     /// FIFO wait queue for `pool().acquire()`; `Arc` because the pid
     /// pool's release hook (a `'static` closure) holds the other ref.
     pub(crate) waiters: Arc<pool::WaitQueue>,
-    /// Lease-deadline table for `pool().acquire_leased()`; one slot per
-    /// pid, occupied while a `LeaseGuard` holds it.
-    pub(crate) leases: pool::LeaseRegistry,
     commits: AtomicU64,
     aborts: AtomicU64,
     reads: AtomicU64,
@@ -266,12 +260,10 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
         // never polls.
         let wake = Arc::clone(&waiters);
         pids.add_release_hook(move |_pid| wake.notify());
-        let leases = pool::LeaseRegistry::new(pids.processes());
         Database {
             forest: Forest::new(),
             pids,
             waiters,
-            leases,
             vmo,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -685,7 +677,7 @@ mod tests {
 
     #[test]
     fn with_kind_builds_all_algorithms() {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let db: Database<U64Map, _> = Database::with_kind(kind, 2);
             let mut w = db.session().unwrap();
             let mut r = db.session().unwrap();

@@ -97,7 +97,6 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::thread::Thread;
@@ -506,80 +505,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
             waiters: self.waiters(),
         }
     }
-
-    /// Lease a session under a **lease timeout**: if the holder lets
-    /// `lease` elapse without completing a transaction through the
-    /// returned [`LeaseGuard`], a subsequent [`SessionPool::reap_expired`]
-    /// sweep reclaims the pid for other waiters, and the stalled
-    /// holder's next access observes [`LeaseRevoked`] instead of
-    /// silently aliasing the pid. The deadline renews on every
-    /// completed [`LeaseGuard::with`], so `lease` bounds *idle gaps
-    /// between transactions*, not total session lifetime.
-    ///
-    /// Parks FIFO like [`SessionPool::acquire`] while all pids are out.
-    pub fn acquire_leased(&self, lease: Duration) -> LeaseGuard<'db, P, M> {
-        self.install_lease(self.acquire(), lease)
-    }
-
-    fn install_lease(&self, session: Session<'db, P, M>, lease: Duration) -> LeaseGuard<'db, P, M> {
-        let db = self.db;
-        let pid = session.pid();
-        let cell = Arc::new(LeaseCell {
-            state: AtomicU64::new(LEASE_IDLE),
-            deadline_ns: AtomicU64::new(db.leases.now_ns().saturating_add(as_ns(lease))),
-        });
-        db.leases.install(pid, Arc::clone(&cell));
-        LeaseGuard {
-            session: Some(session),
-            cell,
-            pool: *self,
-            pid,
-            lease,
-        }
-    }
-
-    /// Sweep the lease registry and reclaim every pid whose
-    /// [`LeaseGuard`] deadline has passed *between* transactions
-    /// (a lease mid-transaction is never revoked — the holder owns an
-    /// acquired version the reaper must not free from under it).
-    /// Each reclaimed pid is released to the pool immediately, waking
-    /// the front waiter; the stalled guard learns of the revocation on
-    /// its next use. Returns how many pids were reclaimed.
-    ///
-    /// Nothing calls this automatically — drive it from a maintenance
-    /// tick (the `mvcc-net` server's scan loop does).
-    pub fn reap_expired(&self) -> usize {
-        let db = self.db;
-        let now = db.leases.now_ns();
-        let mut slots = db.leases.lock_slots();
-        let mut reaped = 0;
-        for (pid, slot) in slots.iter_mut().enumerate() {
-            let Some(cell) = slot else { continue };
-            if cell.deadline_ns.load(Ordering::Acquire) > now {
-                continue;
-            }
-            // Only an *idle* lease is revocable; the CAS loses cleanly
-            // to a holder racing into a transaction (it renews) or a
-            // guard dropping (it releases the pid itself).
-            if cell
-                .state
-                .compare_exchange(
-                    LEASE_IDLE,
-                    LEASE_REVOKED,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                *slot = None;
-                // Idle ⇒ the holder has no acquired version, so the pid
-                // is safe to hand out; release wakes the wait queue.
-                db.pids.release(pid);
-                reaped += 1;
-            }
-        }
-        reaped
-    }
 }
 
 /// Point-in-time gauges over one pool's admission state
@@ -593,202 +518,6 @@ pub struct PoolStats {
     /// Waiters queued for admission — the queue depth load-shedding
     /// policies compare against their threshold.
     pub waiters: usize,
-}
-
-const LEASE_IDLE: u64 = 0;
-const LEASE_IN_TXN: u64 = 1;
-const LEASE_REVOKED: u64 = 2;
-const LEASE_DEAD: u64 = 3;
-
-fn as_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// One lease's shared state: the guard and the registry each hold an
-/// `Arc`, so a reaper revoking an idle lease and the guard observing
-/// the revocation later need no further rendezvous.
-pub(crate) struct LeaseCell {
-    /// `LEASE_IDLE` / `LEASE_IN_TXN` / `LEASE_REVOKED` / `LEASE_DEAD`.
-    /// All ownership transfers go through CAS on this word: the reaper
-    /// may only take IDLE→REVOKED, the guard takes IDLE→IN_TXN around
-    /// each transaction and IDLE/IN_TXN→DEAD on drop.
-    state: AtomicU64,
-    /// Lease expiry in nanoseconds since the registry epoch; renewed
-    /// (before state returns to IDLE) on every completed transaction.
-    deadline_ns: AtomicU64,
-}
-
-/// Per-database lease table, indexed by pid ([`Database`] owns one).
-/// A slot is occupied exactly while a [`LeaseGuard`] holds that pid and
-/// has not been revoked.
-pub(crate) struct LeaseRegistry {
-    /// Epoch for `deadline_ns` (monotonic, per registry).
-    epoch: Instant,
-    slots: Mutex<Vec<Option<Arc<LeaseCell>>>>,
-}
-
-impl LeaseRegistry {
-    pub(crate) fn new(processes: usize) -> Self {
-        LeaseRegistry {
-            epoch: Instant::now(),
-            slots: Mutex::new(vec![None; processes]),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn lock_slots(&self) -> MutexGuard<'_, Vec<Option<Arc<LeaseCell>>>> {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn install(&self, pid: usize, cell: Arc<LeaseCell>) {
-        let mut slots = self.lock_slots();
-        debug_assert!(slots[pid].is_none(), "pid leased twice");
-        slots[pid] = Some(cell);
-    }
-
-    fn clear(&self, pid: usize) {
-        self.lock_slots()[pid] = None;
-    }
-}
-
-/// Error returned by [`LeaseGuard::with`] after
-/// [`SessionPool::reap_expired`] reclaimed the guard's pid: the lease
-/// deadline passed while the holder sat between transactions, and the
-/// pid may already belong to someone else. The guard is spent — drop
-/// it and acquire again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseRevoked {
-    /// The pid that was reclaimed.
-    pub pid: usize,
-}
-
-impl std::fmt::Display for LeaseRevoked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "session lease on pid {} was revoked (lease deadline passed between transactions)",
-            self.pid
-        )
-    }
-}
-
-impl std::error::Error for LeaseRevoked {}
-
-/// A [`Session`] held under a lease deadline
-/// ([`SessionPool::acquire_leased`]): every transaction goes through
-/// [`LeaseGuard::with`], which renews the deadline on completion. Let
-/// the deadline lapse between transactions and a
-/// [`SessionPool::reap_expired`] sweep hands the pid to the next
-/// waiter; the guard's next `with` then returns [`LeaseRevoked`]
-/// instead of running on a pid it no longer owns.
-///
-/// Revocation is strictly *between* transactions: a closure running
-/// inside `with` marks the lease in-transaction, which the reaper
-/// never touches, so an acquired version is never freed mid-read.
-pub struct LeaseGuard<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
-    /// `None` only after revocation has been observed (the revoked
-    /// session is dropped with its pid release suppressed).
-    session: Option<Session<'db, P, M>>,
-    cell: Arc<LeaseCell>,
-    pool: SessionPool<'db, P, M>,
-    pid: usize,
-    lease: Duration,
-}
-
-impl<'db, P: TreeParams, M: VersionMaintenance> LeaseGuard<'db, P, M> {
-    /// The leased pid (stable for the guard's lifetime, though after
-    /// revocation it may be serving another holder).
-    pub fn pid(&self) -> usize {
-        self.pid
-    }
-
-    /// Has this guard observed its revocation? (`true` ⇒ every further
-    /// [`LeaseGuard::with`] fails; racy only in the benign direction —
-    /// `false` may become `true` at the next `with`.)
-    pub fn is_revoked(&self) -> bool {
-        self.session.is_none() || self.cell.state.load(Ordering::Acquire) == LEASE_REVOKED
-    }
-
-    /// Run one transaction (or several — anything on the session) under
-    /// the lease, renewing the deadline on completion. Returns
-    /// [`LeaseRevoked`] without running `f` if the reaper reclaimed the
-    /// pid first.
-    pub fn with<R>(
-        &mut self,
-        f: impl FnOnce(&mut Session<'db, P, M>) -> R,
-    ) -> Result<R, LeaseRevoked> {
-        match self.cell.state.compare_exchange(
-            LEASE_IDLE,
-            LEASE_IN_TXN,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {}
-            Err(_) => {
-                // REVOKED (or the session already surrendered): the pid
-                // belongs to someone else now.
-                self.surrender();
-                return Err(LeaseRevoked { pid: self.pid });
-            }
-        }
-        let session = self
-            .session
-            .as_mut()
-            .expect("session present while the lease is live");
-        let r = f(session);
-        // Renew *before* going idle so the reaper can never see an
-        // idle lease with a stale pre-transaction deadline.
-        let db = self.pool.db;
-        self.cell.deadline_ns.store(
-            db.leases.now_ns().saturating_add(as_ns(self.lease)),
-            Ordering::Release,
-        );
-        self.cell.state.store(LEASE_IDLE, Ordering::Release);
-        Ok(r)
-    }
-
-    /// Drop the session with its pid release suppressed: the reaper
-    /// already released (and possibly re-leased) the pid.
-    fn surrender(&mut self) {
-        if let Some(mut s) = self.session.take() {
-            s.revoked = true;
-        }
-    }
-}
-
-impl<P: TreeParams, M: VersionMaintenance> Drop for LeaseGuard<'_, P, M> {
-    fn drop(&mut self) {
-        // IDLE→DEAD (normal) or IN_TXN→DEAD (a panicking `with`
-        // closure unwound before restoring IDLE; the reaper never
-        // touched IN_TXN, so the pid is still ours to release): clear
-        // the registry slot, then let the session release the pid.
-        for live in [LEASE_IDLE, LEASE_IN_TXN] {
-            if self
-                .cell
-                .state
-                .compare_exchange(live, LEASE_DEAD, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.pool.db.leases.clear(self.pid);
-                return; // `session` drops normally, releasing the pid
-            }
-        }
-        // REVOKED: the reaper owns the slot and released the pid.
-        self.surrender();
-    }
-}
-
-impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for LeaseGuard<'_, P, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaseGuard")
-            .field("pid", &self.pid)
-            .field("lease", &self.lease)
-            .field("revoked", &self.is_revoked())
-            .finish()
-    }
 }
 
 /// Queue-registration state for [`SessionPool::poll_acquire`]: which
@@ -1065,12 +794,6 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
     pub fn sessions_leased(&self) -> usize {
         self.iter().map(|db| db.sessions_leased()).sum()
     }
-
-    /// Run [`SessionPool::reap_expired`] on every shard; returns the
-    /// total pids reclaimed.
-    pub fn reap_leases(&self) -> usize {
-        self.iter().map(|db| db.pool().reap_expired()).sum()
-    }
 }
 
 impl<'r, P: TreeParams, M: VersionMaintenance> IntoIterator for &'r Router<P, M> {
@@ -1233,61 +956,6 @@ mod tests {
         // A fresh deadline admission on a free pid resolves immediately.
         let mut ok = AcquireState::with_deadline(Instant::now() + Duration::from_secs(5));
         assert!(pool.poll_acquire_deadline(&mut cx, &mut ok).is_ready());
-    }
-
-    #[test]
-    fn lease_guard_normal_drop_releases_pid() {
-        let db: Database<U64Map> = Database::new(1);
-        let pool = db.pool();
-        let mut g = pool.acquire_leased(Duration::from_secs(60));
-        g.with(|s| s.insert(1, 10)).unwrap();
-        assert!(!g.is_revoked());
-        assert_eq!(db.sessions_leased(), 1);
-        drop(g);
-        assert_eq!(db.sessions_leased(), 0, "guard drop released the pid");
-        assert_eq!(pool.reap_expired(), 0, "registry slot cleared on drop");
-        assert_eq!(pool.acquire().get(&1), Some(10));
-    }
-
-    #[test]
-    fn expired_idle_lease_is_reaped_and_guard_sees_revocation() {
-        let db: Database<U64Map> = Database::new(1);
-        let pool = db.pool();
-        let mut g = pool.acquire_leased(Duration::from_millis(1));
-        g.with(|s| s.insert(1, 10)).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(pool.reap_expired(), 1, "idle lease past deadline reaped");
-        assert_eq!(db.sessions_leased(), 0, "pid back in the pool");
-        // The next waiter gets the pid while the stalled guard lives.
-        let mut fresh = pool.acquire();
-        assert_eq!(fresh.get(&1), Some(10));
-        assert!(g.is_revoked());
-        assert_eq!(
-            g.with(|s| s.insert(2, 20)).unwrap_err(),
-            LeaseRevoked { pid: fresh.pid() }
-        );
-        drop(g);
-        drop(fresh);
-        assert_eq!(db.sessions_leased(), 0, "no double release, no leak");
-    }
-
-    #[test]
-    fn lease_mid_transaction_is_never_revoked() {
-        let db: Database<U64Map> = Database::new(1);
-        let pool = db.pool();
-        let mut g = pool.acquire_leased(Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
-        g.with(|s| {
-            // In-transaction: a sweep right now must skip us even
-            // though the deadline is long past.
-            std::thread::sleep(Duration::from_millis(5));
-            assert_eq!(pool.reap_expired(), 0, "IN_TXN lease untouchable");
-            s.insert(1, 1);
-        })
-        .expect("completed transaction renewed the lease");
-        assert!(!g.is_revoked());
-        drop(g);
-        assert_eq!(db.sessions_leased(), 0);
     }
 
     #[test]

@@ -60,10 +60,6 @@ pub struct Session<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
     commits: u64,
     aborts: u64,
     reads: u64,
-    /// Set when a lease reaper already returned this session's pid to the
-    /// pool ([`crate::pool::LeaseGuard`]): the drop must not release it a
-    /// second time — the pid may already be leased to someone else.
-    pub(crate) revoked: bool,
     /// `Cell` poisons `Sync` without costing anything: a session moves
     /// between threads, it is never shared.
     _not_sync: PhantomData<Cell<()>>,
@@ -84,7 +80,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
             commits: 0,
             aborts: 0,
             reads: 0,
-            revoked: false,
             _not_sync: PhantomData,
         }
     }
@@ -285,9 +280,7 @@ impl<P: TreeParams, M: VersionMaintenance> Drop for Session<'_, P, M> {
             aborts: self.aborts,
             reads: self.reads,
         });
-        if !self.revoked {
-            self.db.pids.release(self.pid);
-        }
+        self.db.pids.release(self.pid);
     }
 }
 

@@ -103,8 +103,8 @@
 //! The server's loop runs a coarse maintenance tick (~1ms): it
 //! re-polls deadline-expired admissions, reaps idle connections
 //! (mid-pipeline connections are never reaped), samples the
-//! queue-depth high-water gauge into [`ServerStats`], and sweeps
-//! expired session leases on the router. See `server` module docs for
+//! queue-depth high-water gauge into [`ServerStats`], and drives the
+//! installed durability-maintenance hook. See `server` module docs for
 //! the exact degradation contract.
 //!
 //! [`Router`]: mvcc_core::Router

@@ -23,8 +23,8 @@
 //! 6. flush staged response bytes, reap finished connections;
 //! 7. every maintenance tick (~1ms), re-poll deadline-expired
 //!    admissions, reap idle connections, sample queue-depth gauges,
-//!    sweep expired session leases, and drive the installed
-//!    durability-maintenance hook ([`Server::set_maintenance`]).
+//!    and drive the installed durability-maintenance hook
+//!    ([`Server::set_maintenance`]).
 //!
 //! # Where the loop blocks, and what wakes it
 //!
@@ -575,9 +575,6 @@ impl Server {
     ///   (nothing buffered, parsed, pending or unflushed — a slow
     ///   mid-pipeline connection is never reaped);
     /// * sample the per-shard admission-queue depth high-water gauge;
-    /// * sweep expired session leases on the router (other holders of
-    ///   the same router may lease with timeouts; the server's tick is
-    ///   the reaper that makes those deadlines real);
     /// * drive the installed durability-maintenance hook and record
     ///   the [`Health`] it reports ([`Server::set_maintenance`]).
     fn tick(
@@ -616,7 +613,6 @@ impl Server {
         for shard in 0..router.shards() {
             self.note_queue_depth(router.with_shard(shard).pool().waiters());
         }
-        router.reap_leases();
         // Drive the durability-maintenance hook, if installed. The Arc
         // is cloned out so the hook (which may run a checkpoint) never
         // executes under the server's own lock.

@@ -16,8 +16,7 @@
 //!   released). In a **precise** solution the returned list is a singleton
 //!   exactly when the releasing process was the last holder.
 //!
-//! Five implementations matching the paper's §3.1, §6 and §7.1 evaluation,
-//! plus one extension ([`IntervalVm`]) from the §6 pointer to IBR \[63\]:
+//! Five implementations matching the paper's §3.1, §6 and §7.1 evaluation:
 //!
 //! | Type | Precise | Progress | acquire | set | release | relaxed-audit |
 //! |------|---------|----------|---------|-----|---------|---------------|
@@ -26,7 +25,6 @@
 //! | [`HazardVm`] | no (≤ 2P retired) | non-blocking readers | O(1) expected | O(1) | amortized O(1) | acq/rel + announce/scan fences |
 //! | [`EpochVm`]  | no (unbounded)     | non-blocking | O(1) | O(1) | O(P) on epoch close | acq/rel + announce/scan fences |
 //! | [`RcuVm`]    | yes (≤ 1 old) | **writers block on readers** | O(1) | O(1) | O(readers) blocking | acq/rel + fences; grace RMW pinned |
-//! | [`IntervalVm`] | no (≤ 2P + pinned intervals) | non-blocking | O(1) expected | O(1) | amortized O(1) | acq/rel + announce/scan fences |
 //!
 //! (The last column summarizes each algorithm's position after the
 //! relaxed-ordering audit; `strict-sc` collapses every tunable entry
@@ -84,7 +82,6 @@
 mod counter;
 mod epoch;
 mod hazard;
-mod interval;
 mod lease;
 pub mod ordering;
 mod pswf;
@@ -95,7 +92,6 @@ mod word;
 pub use counter::VersionCounter;
 pub use epoch::EpochVm;
 pub use hazard::HazardVm;
-pub use interval::IntervalVm;
 pub use lease::{LeaseError, PidPool};
 pub use pswf::{PslfVm, PswfVm};
 pub use rcu::RcuVm;
@@ -196,8 +192,6 @@ pub enum VmKind {
     Epoch,
     /// Read-copy-update based (precise, blocking writer).
     Rcu,
-    /// Interval-based reclamation (imprecise; §6 extension, IBR \[63\]).
-    Interval,
 }
 
 impl VmKind {
@@ -210,16 +204,6 @@ impl VmKind {
         VmKind::Rcu,
     ];
 
-    /// All algorithms including the IBR extension.
-    pub const ALL: [VmKind; 6] = [
-        VmKind::Pswf,
-        VmKind::Pslf,
-        VmKind::Hazard,
-        VmKind::Epoch,
-        VmKind::Rcu,
-        VmKind::Interval,
-    ];
-
     /// Table/figure label.
     pub fn name(self) -> &'static str {
         match self {
@@ -228,7 +212,6 @@ impl VmKind {
             VmKind::Hazard => "HP",
             VmKind::Epoch => "EP",
             VmKind::Rcu => "RCU",
-            VmKind::Interval => "IBR",
         }
     }
 
@@ -246,7 +229,6 @@ impl VmKind {
             VmKind::Hazard => Box::new(HazardVm::new(processes, initial)),
             VmKind::Epoch => Box::new(EpochVm::new(processes, initial)),
             VmKind::Rcu => Box::new(RcuVm::new(processes, initial)),
-            VmKind::Interval => Box::new(IntervalVm::new(processes, initial)),
         }
     }
 }
@@ -258,22 +240,32 @@ mod trait_tests {
     #[test]
     fn kind_metadata() {
         assert_eq!(VmKind::PAPER.len(), 5);
-        assert_eq!(VmKind::ALL.len(), 6);
+        // Exhaustive on purpose: a new variant does not compile here
+        // until it is given its place in `PAPER`, so no sweep over
+        // `PAPER` can silently skip it.
+        let position = |kind: VmKind| match kind {
+            VmKind::Pswf => 0,
+            VmKind::Pslf => 1,
+            VmKind::Hazard => 2,
+            VmKind::Epoch => 3,
+            VmKind::Rcu => 4,
+        };
+        for (i, kind) in VmKind::PAPER.into_iter().enumerate() {
+            assert_eq!(position(kind), i, "{kind:?}");
+        }
         assert!(VmKind::Pswf.is_precise());
         assert!(VmKind::Pslf.is_precise());
         assert!(VmKind::Rcu.is_precise());
         assert!(!VmKind::Hazard.is_precise());
         assert!(!VmKind::Epoch.is_precise());
-        assert!(!VmKind::Interval.is_precise());
         assert_eq!(VmKind::Pswf.name(), "PSWF");
-        assert_eq!(VmKind::Interval.name(), "IBR");
     }
 
     /// The sequential specification (§3 / Appendix A) holds for every
     /// algorithm when driven sequentially.
     #[test]
     fn sequential_specification_all_kinds() {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let vm = kind.build(4, 100);
             let mut out = Vec::new();
 
@@ -329,7 +321,7 @@ mod trait_tests {
     /// A set with a stale acquire must abort once another set succeeded.
     #[test]
     fn stale_set_aborts() {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let vm = kind.build(4, 0);
             let mut out = Vec::new();
             assert_eq!(vm.acquire(0), 0);
@@ -347,7 +339,7 @@ mod trait_tests {
     /// Each dead version token is returned at most once across releases.
     #[test]
     fn no_double_collect_sequential() {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let vm = kind.build(3, 0);
             let mut all = Vec::new();
             for round in 1..=50u64 {
@@ -369,7 +361,7 @@ mod trait_tests {
     /// current one) in quiescence; HP/EP are allowed to lag.
     #[test]
     fn quiescent_precision() {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let vm = kind.build(2, 0);
             let mut out = Vec::new();
             for round in 1..=20u64 {

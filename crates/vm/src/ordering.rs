@@ -30,7 +30,7 @@
 //! consistency (a `StoreLoad` barrier), and reappear across the
 //! algorithms:
 //!
-//! 1. **Announce → validate** (hazard pointers, epochs, intervals, RCU
+//! 1. **Announce → validate** (hazard pointers, epochs, RCU
 //!    read-lock, and Algorithm 4's `acquire`): a reader publishes an
 //!    announcement and then re-reads shared state to validate it. The
 //!    announcement store must be globally visible *before* the validate
@@ -69,8 +69,8 @@
 //! direction) and the validation fails/retries, so the reader never
 //! relies on the missed announcement. Either way: no use-after-free.
 //! The same two-case argument covers the epoch announce vs.
-//! epoch-advance scan, the interval reservation vs. interval scan, and
-//! the RCU generation announce vs. grace-period scan; the per-site
+//! epoch-advance scan and the RCU generation announce vs. grace-period
+//! scan; the per-site
 //! comments cite this section rather than repeating it.
 
 #![allow(unused)] // each role is used by a subset of the algorithms
@@ -97,7 +97,7 @@ macro_rules! tunable {
 }
 
 // ---------------------------------------------------------------------
-// Version word (the current-version pointer `V` of HP/EP/RCU/IBR).
+// Version word (the current-version pointer `V` of HP/EP/RCU).
 // ---------------------------------------------------------------------
 
 tunable! {
@@ -128,8 +128,8 @@ tunable! {
 }
 
 // ---------------------------------------------------------------------
-// Announcements (hazard slots, epoch/generation announcements, interval
-// reservations) and the reclamation scans that read them.
+// Announcements (hazard slots, epoch/generation announcements) and the
+// reclamation scans that read them.
 // ---------------------------------------------------------------------
 
 tunable! {
@@ -149,7 +149,7 @@ tunable! {
     /// version happens-before a scan that observes the withdrawal, so
     /// the scan may free the version. A scan that instead sees the stale
     /// announcement merely keeps the version another round —
-    /// conservative, and for the imprecise algorithms (HP/EP/IBR)
+    /// conservative, and for the imprecise algorithms (HP/EP)
     /// bounded by their existing imprecision budget. (Algorithm 4's
     /// clear is *not* this role — precision makes its clear a pinned
     /// StoreLoad window, see [`HANDSHAKE_CAS`].)
@@ -167,25 +167,18 @@ tunable! {
 }
 
 // ---------------------------------------------------------------------
-// Logical clocks (the epoch counter, the IBR era, the RCU generation).
+// Logical clocks (the epoch counter, the RCU generation).
 // ---------------------------------------------------------------------
 
 tunable! {
-    /// **`Acquire`** — reading a logical clock (epoch / era /
-    /// generation) to announce it or to stamp a retirement. Pairs with
-    /// [`CLOCK_BUMP`] / [`EPOCH_ADVANCE_CAS`]'s release so clock values
-    /// never run ahead of the state they summarize. A stale (smaller)
+    /// **`Acquire`** — reading a logical clock (epoch / generation) to
+    /// announce it or to stamp a retirement. Pairs with the release in
+    /// [`EPOCH_ADVANCE_CAS`] (the epoch) and [`GRACE_PERIOD_RMW`] (the
+    /// RCU generation) so clock values never run ahead of the state
+    /// they summarize. A stale (smaller)
     /// clock read only widens the interval a version is considered live
     /// for — conservative in every use below.
     CLOCK_LOAD = Acquire
-}
-
-tunable! {
-    /// **`AcqRel`** — bumping a logical clock with an RMW (the IBR era
-    /// on every successful `set`, the RCU generation in `synchronize`).
-    /// The RMW chain keeps all bumps totally ordered on the clock word
-    /// and extends every predecessor's release sequence.
-    CLOCK_BUMP = AcqRel
 }
 
 tunable! {
@@ -220,14 +213,6 @@ tunable! {
     /// Same-location coherence already guarantees the own store is
     /// observed; no cross-thread edge is taken from the value.
     SELF_LOAD = Relaxed
-}
-
-tunable! {
-    /// **`Relaxed`** — the IBR birth-era hint (`v_birth`). A racing
-    /// reader can observe a stale (older) birth, which only *widens* the
-    /// retired interval and delays reclamation — conservative by the
-    /// module's own documented argument; never a safety edge.
-    BIRTH_HINT = Relaxed
 }
 
 // ---------------------------------------------------------------------
@@ -378,11 +363,9 @@ mod tests {
             ANNOUNCE_CLEAR,
             SCAN_LOAD,
             CLOCK_LOAD,
-            CLOCK_BUMP,
             EPOCH_ADVANCE_CAS,
             DATA_SLOT,
             SELF_LOAD,
-            BIRTH_HINT,
             LEASE_CAS,
             LEASE_STATE_LOAD,
             LEASE_RELEASE_STORE,

@@ -167,9 +167,9 @@ pub mod prelude {
     pub use mvcc_core::{
         AcquireTimeout, BatchWriter, CommitAck, Database, Durability, DurableConfig,
         DurableDatabase, DurableError, DurableSession, DurableStats, GroupCommit, Health,
-        LeaseGuard, LeaseRevoked, MaintenanceHandle, MaintenanceHook, MaintenancePolicy,
-        MaintenanceStats, MaintenanceTick, MapOp, PoolStats, RecoveryReport, Router, Session,
-        SessionError, SessionPool, SessionReadGuard, Snapshot, WriteTxn,
+        MaintenanceHandle, MaintenanceHook, MaintenancePolicy, MaintenanceStats, MaintenanceTick,
+        MapOp, PoolStats, RecoveryReport, Router, Session, SessionError, SessionPool,
+        SessionReadGuard, Snapshot, WriteTxn,
     };
     pub use mvcc_fds::{CellSession, VersionedCell};
     pub use mvcc_ftree::{Forest, MaxU64Map, SumU64Map, TreeParams, U64Map};

@@ -70,7 +70,7 @@ fn stack_snapshots_are_suffixes_of_later_versions() {
 /// enqueue, a consumer dequeues; nothing is lost or duplicated.
 #[test]
 fn queue_producer_consumer_all_vm_kinds() {
-    for kind in [VmKind::Pswf, VmKind::Epoch, VmKind::Interval] {
+    for kind in [VmKind::Pswf, VmKind::Epoch, VmKind::Hazard] {
         let cell = Arc::new(VersionedCell::with_kind(Queue::<u64>::new(), kind, 2));
         let produced = 500u64;
 

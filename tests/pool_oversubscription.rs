@@ -330,63 +330,6 @@ fn async_deadline_expiry_mid_queue_preserves_fifo() {
     assert_eq!(db.sessions_leased(), 0);
 }
 
-/// Lease revocation end-to-end: an expired *idle* lease is reaped, the
-/// pid serves a new client immediately, the stalled holder gets a typed
-/// `LeaseRevoked` on next use, and after everything drops the pool has
-/// exactly zero leaks — every pid acquirable again.
-#[test]
-fn revoked_lease_returns_the_pid_with_zero_leaks() {
-    const PIDS: usize = 2;
-    let db: Database<U64Map> = Database::new(PIDS);
-    let pool = db.pool();
-
-    let mut guard = pool.acquire_leased(Duration::from_millis(20));
-    guard
-        .with(|s| {
-            s.insert(1, 10);
-        })
-        .expect("a fresh lease runs transactions");
-    let camped_pid = guard.pid();
-    assert_eq!(db.sessions_leased(), 1);
-
-    // The holder stalls past its lease; the reaper reclaims the pid.
-    std::thread::sleep(Duration::from_millis(40));
-    assert_eq!(pool.reap_expired(), 1, "one expired idle lease");
-
-    // The pid is back: with one other session out, a try_acquire for the
-    // *last* free pid still succeeds — and sees the lease's writes.
-    let other = pool.try_acquire().expect("first free pid");
-    let mut reclaimed = pool
-        .try_acquire()
-        .expect("the reaped pid is immediately acquirable");
-    assert!(
-        [other.pid(), reclaimed.pid()].contains(&camped_pid),
-        "the camped pid is one of the two now in service"
-    );
-    assert_eq!(reclaimed.get(&1), Some(10), "committed state survived");
-    drop(reclaimed);
-    drop(other);
-
-    // The stalled holder finds out via a typed error, not a panic, and
-    // its drop must not return the pid a second time.
-    let err = guard
-        .with(|s| {
-            s.insert(2, 20);
-        })
-        .expect_err("a revoked lease must refuse to run");
-    assert_eq!(err.pid, camped_pid);
-    assert!(guard.is_revoked());
-    drop(guard);
-
-    assert_eq!(db.sessions_leased(), 0, "zero leaks after the guard drops");
-    // No double-release: every pid is acquirable exactly once.
-    let all: Vec<_> = (0..PIDS).map(|_| pool.try_acquire().unwrap()).collect();
-    assert_eq!(all.len(), PIDS);
-    assert!(pool.try_acquire().is_err(), "and not one more");
-    drop(all);
-    assert_eq!(db.sessions_leased(), 0);
-}
-
 /// Router placement is a pure function of (seed, key): same key, same
 /// shard, on every call and from every thread.
 #[test]

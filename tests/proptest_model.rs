@@ -205,7 +205,7 @@ proptest! {
     /// reads through another.
     #[test]
     fn database_matches_btreemap(ops in prop::collection::vec(db_op(), 1..80)) {
-        for kind in VmKind::ALL {
+        for kind in VmKind::PAPER {
             let db: Database<SumU64Map, _> = Database::with_kind(kind, 2);
             let mut writer = db.session().unwrap();
             let mut reader = db.session().unwrap();

@@ -48,7 +48,7 @@ impl Jitter {
 /// a token ≥ the floor it sampled before invoking acquire.
 #[test]
 fn acquire_is_real_time_fresh() {
-    for kind in VmKind::ALL {
+    for kind in VmKind::PAPER {
         let readers = 3usize;
         let vm = kind.build(readers + 1, 0);
         let floor = Arc::new(AtomicU64::new(0));
@@ -289,7 +289,7 @@ fn message_passing_payload_visible_after_acquire_stress() {
 }
 
 fn message_passing_scaled(writes: u64) {
-    for kind in VmKind::ALL {
+    for kind in VmKind::PAPER {
         let readers = 2usize;
         let vm = kind.build(readers + 1, 0);
         let stop = Arc::new(AtomicBool::new(false));
@@ -350,7 +350,7 @@ fn message_passing_scaled(writes: u64) {
 /// Precise-release singleton property under churn, all six kinds: every
 /// dead token is handed back at most once (all kinds), each single
 /// `release` returns at most one token and quiescence leaves exactly
-/// the current version (precise kinds only — HP/EP/IBR legally batch).
+/// the current version (precise kinds only — HP/EP legally batch).
 /// Probes the clear→scan windows of Algorithm 4's release protocol and
 /// the announce/scan fence pairings of the imprecise kinds.
 #[test]
@@ -367,7 +367,7 @@ fn release_singleton_under_churn_stress() {
 }
 
 fn release_singleton_scaled(commits_per_writer: u64) {
-    for kind in VmKind::ALL {
+    for kind in VmKind::PAPER {
         const WRITERS: usize = 2;
         const READERS: usize = 2;
         let vm = kind.build(WRITERS + READERS, 0);

@@ -64,7 +64,7 @@ fn single_writer_safety_oracle_stress() {
 
 fn single_writer_oracle_scaled(writes: u64) {
     assert!((writes as usize) < MAX_TOKENS, "oracle table too small");
-    for kind in VmKind::ALL {
+    for kind in VmKind::PAPER {
         let readers = 3usize;
         let procs = readers + 1;
         let vm = kind.build(procs, 0);
