@@ -30,60 +30,106 @@
 //! throughput. A single freelist head serializes every thread in the
 //! process on one cache line; this arena therefore splits the allocator
 //! into `S` independent **shards** (a power of two, default ≈ 2× the
-//! core count), each with
+//! core count). An allocation site picks a shard through an
+//! [`AllocCtx`]: thread-affine by default (each thread is assigned a
+//! shard round-robin on first use), or pinned explicitly —
+//! [`Arena::pin`] installs a thread-local override so a whole batch
+//! (e.g. the flat-combining writer, or a bulk tree operation) allocates
+//! and frees through one shard without threading a parameter through
+//! every recursive call. Ids, generations and metadata are global, so
+//! which shard a slot passes through is invisible to readers.
 //!
-//! * its own tagged Treiber freelist head (the tag defeats ABA), and
-//! * its own **fresh window** — a block of never-used ids carved from
-//!   the global bump cursor [`FRESH_BLOCK`] ids at a time, so the global
-//!   cursor is touched once per block instead of once per allocation.
+//! Slots are recycled at two levels:
 //!
-//! An allocation site picks a shard through an [`AllocCtx`]:
-//! thread-affine by default (each thread is assigned a shard round-robin
-//! on first use), or pinned explicitly — [`Arena::pin`] installs a
-//! thread-local override so a whole batch (e.g. the flat-combining
-//! writer, or a bulk tree operation) allocates and frees through one
-//! shard without threading a parameter through every recursive call.
-//! Allocation order per shard: own freelist → own fresh window → steal
-//! a recycled slot from a sibling shard → carve a new fresh block. Slots
-//! may migrate between shards over their lifetime (freed into whichever
-//! shard collected them); ids, generations and metadata are global so
-//! this is invisible to readers.
+//! * **The shard's cache**: a tagged Treiber stack (the tag defeats
+//!   ABA) of up to [`CACHE_CAP`] freed slots, popped first with one
+//!   CAS. A shard that frees and allocates its own slots — a durable
+//!   writer, a preload, a write whose old version nobody else holds —
+//!   reuses them hot, in LIFO order.
+//! * **Blocks**: the id space is cut into [`BLOCK`]-slot blocks, each
+//!   with a free bitmap in a side array ([`Block`]) reserved like the
+//!   slots and exposed as blocks are carved. A free that finds its
+//!   shard's cache full sets its slot's bit instead. Under the paper's
+//!   precise GC a reader, as the last releaser, frees each displaced
+//!   version into *its* shard, so this is where a writer's slots come
+//!   back from.
+//!
+//! Allocation order per shard: its cache → the next set bit at or after
+//! the shard's cursor in the block it owns, claimed with one
+//! `fetch_and` → a block popped from the arena's stack of
+//! **recyclable** blocks → a freshly carved block, which is simply a
+//! block with every bit set. So a writer whose cache is empty fills each
+//! new path into ascending, mostly contiguous slots, as Immix's
+//! recyclable blocks do (Blackburn and McKinley, PLDI 2008), instead of
+//! scattering it over single slots freed wherever readers happened to
+//! release them.
+//!
+//! A block is *held* while it is queued on the recyclable stack or
+//! owned (by a shard's cursor, or by a [`Run`] taking its bits), and
+//! *idle* otherwise. An owner that has claimed every bit at or after its
+//! cursor releases the block; a block that is idle, or is released,
+//! with at least [`RECYCLE_AT`] (a quarter) of its slots free is queued
+//! — exactly once, by whoever wins the idle → held CAS. A block's free
+//! count is the popcount of its bitmap: the bitmap *is* the count.
+//!
+//! **Footprint bound.** In quiescence every idle block is more than ¾
+//! live or cached, so the ids ever carved ([`ArenaStats::carved`]) obey
+//!
+//! ```text
+//! carved ≤ ⌈4/3 · (live + cached)⌉ + (shards + queued + 1) · BLOCK,   cached < shards · (CACHE_CAP + FREE_BUF)
+//! ```
+//!
+//! where `queued` counts the recyclable stack and the `+ 1` is the block
+//! that a [`Run`]'s carve left part-carved. The quarter is a trade:
+//! queueing blocks that are less free spreads a new path over more of
+//! them, and waiting for more free leaves more partly free blocks idle.
+//!
+//! The same-shard path adds no atomic read-modify-write to an
+//! allocation. Each shard counts its allocations and frees by where
+//! they went — `popped` from and `pushed` onto its cache, `claimed`
+//! from bitmaps or carved, `spilled` into bitmaps — so the counters it
+//! bumps anyway give the cache's length, `pushed − popped`, and the
+//! totals are their sums.
 //!
 //! A bulk build knows up front how many tuples it creates, and takes
 //! them all at once as a [`Run`] ([`Arena::run`]). One owner — the
-//! calling thread, through its context — gets `n` slots that sit on no
-//! freelist and in no window, so no other allocator can see them, and
-//! the run counts all `n` in the shard's `allocated` with one
-//! `fetch_add`. The owner publishes each slot with a plain value write
-//! and one `Release` store of its metadata, and may split the run into
-//! disjoint parts for other threads to fill. Recycled slots come first:
-//! the caller's freelist, then each sibling's, every chain taken whole
+//! calling thread, through its context — gets `n` slots that sit in no
+//! cache and no bitmap, so no other allocator can see them, and the run
+//! counts all `n` with at most two `fetch_add`s. The owner publishes each
+//! slot with a plain value write and one `Release` store of its
+//! metadata, and may split the run into disjoint parts for other threads
+//! to fill. Recycled slots come first: the caller's cache, taken whole
 //! with one tagged CAS and its unused remainder handed back with one
-//! more. Only the rest is carved from the global cursor as one range,
-//! with one prefix expose. Carving first would leave freed slots idle
-//! while a build-heavy steady state raised the high-water mark
-//! ([`ArenaStats::carved`]) by every build. A run abandoned part-filled
-//! (a builder that panics) leaks whole: [`Arena::live`] keeps counting
-//! its `n` slots; the filled ones stay occupied and drop with the
-//! arena, once; the unfilled ones read as free and drop nothing.
+//! more, then the free bits of recyclable blocks, in address order. Only
+//! the rest is carved from the global cursor as one range, with one
+//! prefix expose. Carving first would leave freed slots idle while a
+//! build-heavy steady state raised the high-water mark by every build. A
+//! run abandoned part-filled (a builder that panics) leaks whole:
+//! [`Arena::live`] keeps counting its `n` slots; the filled ones stay
+//! occupied and drop with the arena, once; the unfilled ones read as
+//! free and drop nothing.
 //!
 //! [`Arena::collect`] additionally *buffers* frees: freed slots are
 //! linked into a private chain (through their own metadata words — no
-//! side buffer) and spliced onto the shard freelist with one CAS per
+//! side buffer) and spliced onto the shard's cache with one CAS per
 //! [`FREE_BUF`] tuples, so collecting a large version does not CAS a
-//! shared head once per tuple. A `collect` that only drops a count —
-//! the root still has other owners — is a single `fetch_sub`: no heap,
-//! no thread-local, no shard lookup.
+//! shared head once per tuple. Whether the cache has room is asked once
+//! per chain; a chain that finds it full spills slot by slot into the
+//! bitmaps, so a cache may overshoot its cap by less than a chain. A
+//! `collect` that only drops a count — the root still has other owners
+//! — is a single `fetch_sub`: no heap, no thread-local, no shard
+//! lookup.
 //!
 //! ## Per-slot metadata
 //!
-//! Packs into one `AtomicU64` (unchanged by sharding — `NodeId`
-//! stability and the precise-GC accounting hold exactly as before):
+//! Packs into one `AtomicU64`:
 //!
 //! ```text
 //! bit 63      : OCCUPIED
 //! bits 32..63 : generation (bumped on every free; detects stale ids)
-//! bits  0..32 : reference count (occupied) | next free index (free)
+//! bits  0..32 : reference count (occupied)
+//!             | next slot in the shard's cache (free, cached)
+//!             | unused (free, in a block's bitmap, or never handed out)
 //! ```
 //!
 //! Reference-count updates are single `fetch_add`/`fetch_sub`
@@ -91,7 +137,7 @@
 //! generation field because the owner invariant guarantees
 //! `1 <= rc < 2^32` whenever an increment or decrement happens.
 
-use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 
@@ -103,17 +149,34 @@ const GEN_SHIFT: u32 = 32;
 const GEN_MASK: u64 = ((1u64 << 31) - 1) << GEN_SHIFT;
 const LOW_MASK: u64 = (1u64 << 32) - 1;
 
-/// Freelist "empty" marker (also used as a slot's "no next" link).
+/// Empty-stack marker, a slot's "no next" link, and a cursor's "no block".
 const NIL: u32 = u32::MAX;
 
-/// Ids carved from the global fresh cursor per shard refill.
-const FRESH_BLOCK: u64 = 256;
+/// Slots per block: the unit of carving and of bitmap recycling.
+const BLOCK: u64 = 256;
+
+/// Bitmap words per block.
+const WORDS: usize = (BLOCK / 64) as usize;
+
+/// Free slots at which an idle block is queued for reuse: a quarter.
+const RECYCLE_AT: u32 = (BLOCK / 4) as u32;
+
+/// Freed slots a shard's cache holds before frees spill into bitmaps.
+const CACHE_CAP: u64 = 1024;
 
 /// Upper bound on the shard count (id space and stats stay tiny).
 const MAX_SHARDS: usize = 64;
 
-/// Buffered frees per freelist splice in [`Arena::collect`].
+/// Buffered frees per cache splice in [`Arena::collect`].
 const FREE_BUF: usize = 64;
+
+/// A block's state: on no stack and owned by no one.
+const IDLE: u32 = 0;
+/// A block's state: queued on the recyclable stack, or owned.
+const HELD: u32 = 1;
+
+/// A shard cursor that owns no block.
+const NO_BLOCK: u64 = (NIL as u64) << 32;
 
 /// All-zero bytes are a free slot: metadata 0, value uninitialized.
 struct Slot<T> {
@@ -121,32 +184,79 @@ struct Slot<T> {
     value: UnsafeCell<MaybeUninit<T>>,
 }
 
+/// The recycling state of [`BLOCK`] consecutive slots, in a side array
+/// indexed by `id / BLOCK`. All-zero bytes are an idle block with no
+/// free bit, which is what a block nobody has carved reads as.
+#[repr(align(64))]
+struct Block {
+    /// Bit `i` of word `w` set: slot `w * 64 + i` of the block is free
+    /// and on no cache.
+    free: [AtomicU64; WORDS],
+    /// [`IDLE`] or [`HELD`].
+    state: AtomicU32,
+    /// The next block down the recyclable stack while queued.
+    link: AtomicU32,
+}
+
+impl Block {
+    /// Free slots in the bitmap. `SeqCst` loads: a free that sets a bit
+    /// and then finds the block idle, and a release that marks it idle
+    /// and then counts, cannot both miss the other.
+    fn free_count(&self) -> u32 {
+        self.free
+            .iter()
+            .map(|w| w.load(Ordering::SeqCst).count_ones())
+            .sum()
+    }
+}
+
+/// The bits of word `w` of block `b` that ids `lo..hi` cover.
+fn range_mask(b: u64, w: usize, lo: u64, hi: u64) -> u64 {
+    let first = b * BLOCK + w as u64 * 64;
+    let (lo, hi) = (lo.clamp(first, first + 64), hi.clamp(first, first + 64));
+    match hi - lo {
+        0 => 0,
+        64 => !0,
+        n => ((1u64 << n) - 1) << (lo - first),
+    }
+}
+
 /// One allocator shard. The whole struct is cache-padded where it is
 /// stored so shards never false-share.
 struct Shard {
-    /// Tagged Treiber head: `(tag << 32) | index`.
+    /// The cache: a tagged Treiber head, `(tag << 32) | index`.
     free_head: AtomicU64,
-    /// Fresh window `(end << 32) | cursor`: ids `[cursor, end)` are
-    /// reserved for this shard and have never been used.
-    fresh: AtomicU64,
-    /// Serializes window refills (rare: once per [`FRESH_BLOCK`] fresh
-    /// allocations) so a lost install race cannot leak a carved block.
-    refill_lock: AtomicBool,
-    /// The only two per-call counters; `live` is always derived as
-    /// their difference (see [`ArenaStats`]).
-    allocated: AtomicU64,
-    freed: AtomicU64,
+    /// `(block << 32) | word`: the block this shard allocates from and
+    /// the bitmap word it has reached ([`NO_BLOCK`]: none yet).
+    cursor: AtomicU64,
+    /// Slots allocated from the cache.
+    popped: AtomicU64,
+    /// Slots allocated from bitmaps or carved.
+    claimed: AtomicU64,
+    /// Slots freed onto the cache.
+    pushed: AtomicU64,
+    /// Slots freed into a bitmap.
+    spilled: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
             free_head: AtomicU64::new(NIL as u64),
-            fresh: AtomicU64::new(0), // cursor == end == 0: empty
-            refill_lock: AtomicBool::new(false),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
+            cursor: AtomicU64::new(NO_BLOCK),
+            popped: AtomicU64::new(0),
+            claimed: AtomicU64::new(0),
+            pushed: AtomicU64::new(0),
+            spilled: AtomicU64::new(0),
         }
+    }
+
+    /// Slots on the cache, from the counters: exact in quiescence, and
+    /// off by the calls in flight otherwise.
+    fn cached(&self) -> u64 {
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        let popped = self.popped.load(Ordering::Relaxed);
+        (pushed.wrapping_sub(popped) as i64).max(0) as u64
     }
 }
 
@@ -240,8 +350,9 @@ pub struct ArenaStats {
     pub live: u64,
     /// Ids ever carved from the arena's never-used space. Every slot
     /// ever handed out lies below it, so it is the high-water mark of
-    /// the arena's footprint: it rises only when the shards' freelists
-    /// cannot cover an allocation, and never falls.
+    /// the arena's footprint: it rises only when neither the shard's
+    /// cache, nor its block, nor a recyclable block can cover an
+    /// allocation, and never falls.
     pub carved: u64,
     /// Number of allocator shards.
     pub shards: u64,
@@ -251,12 +362,16 @@ pub struct ArenaStats {
 /// paper. See the crate docs for the ownership convention and the module
 /// docs for the sharded allocator layout.
 pub struct Arena<T: Tuple> {
-    /// Slot `i` at `base + i`; accessible up to the carved fresh ids.
+    /// Slot `i` at `base + i`; accessible up to the carved ids.
     pages: Reservation,
+    /// [`Block`] `b` at `base + b`; accessible up to the carved blocks.
+    blocks: Reservation,
     shards: Box<[CachePadded<Shard>]>,
     shard_mask: u32,
-    /// Global bump cursor; carved [`FRESH_BLOCK`] ids at a time.
+    /// Global bump cursor: ids below it have been carved.
     next_fresh: CachePadded<AtomicU64>,
+    /// Tagged Treiber head of the recyclable blocks, `(tag << 32) | block`.
+    recyclable: CachePadded<AtomicU64>,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -299,11 +414,15 @@ impl<T: Tuple> Arena<T> {
         let shards = shards.next_power_of_two().clamp(1, MAX_SHARDS);
         Arena {
             pages: Reservation::new(Self::capacity() as usize * size_of::<Slot<T>>()),
+            blocks: Reservation::new(
+                Self::capacity().div_ceil(BLOCK) as usize * size_of::<Block>(),
+            ),
             shards: (0..shards)
                 .map(|_| CachePadded::new(Shard::new()))
                 .collect(),
             shard_mask: shards as u32 - 1,
             next_fresh: CachePadded::new(AtomicU64::new(0)),
+            recyclable: CachePadded::new(AtomicU64::new(NIL as u64)),
             _marker: std::marker::PhantomData,
         }
     }
@@ -411,14 +530,27 @@ impl<T: Tuple> Arena<T> {
         );
         let base = self.pages.base().cast::<Slot<T>>().as_ptr();
         // SAFETY: every id below `capacity()` has a slot inside the
-        // reservation; ids come from `refill_fresh`, which exposes their
-        // slots before handing them out, and the reservation lives as
-        // long as `self`.
+        // reservation; ids are handed out only once carved, and `carve`
+        // exposes their slots first; the reservation lives as long as
+        // `self`.
         unsafe { &*base.add(id.0 as usize) }
     }
 
+    /// The recycling state of block `b`.
+    #[inline]
+    fn block(&self, b: u32) -> &Block {
+        debug_assert!(
+            (b as usize + 1) * size_of::<Block>() <= self.blocks.accessible(),
+            "block {b} lies past the arena's accessible prefix"
+        );
+        let base = self.blocks.base().cast::<Block>().as_ptr();
+        // SAFETY: as for `slot`: `carve` exposes the block of every id
+        // it carves, and blocks are only named through carved ids.
+        unsafe { &*base.add(b as usize) }
+    }
+
     // ------------------------------------------------------------------
-    // Per-shard freelist + fresh window
+    // The shard cache
     // ------------------------------------------------------------------
 
     fn pop_free(&self, shard: &Shard) -> Option<NodeId> {
@@ -441,8 +573,8 @@ impl<T: Tuple> Arena<T> {
         }
     }
 
-    /// Splice a privately linked chain of freed slots onto the shard
-    /// freelist with a single CAS. The chain runs `head → … → tail`
+    /// Splice a privately linked chain of freed slots onto the shard's
+    /// cache with a single CAS. The chain runs `head → … → tail`
     /// through the slots' own metadata words (each already holds its
     /// bumped generation and its successor); only the tail's link is
     /// written here. None of the slots is reachable by any other thread
@@ -467,72 +599,220 @@ impl<T: Tuple> Arena<T> {
         }
     }
 
-    /// Take one id from the shard's fresh window, if non-empty.
-    fn pop_fresh(&self, shard: &Shard) -> Option<NodeId> {
-        let mut cur = shard.fresh.load(Ordering::Acquire);
+    // ------------------------------------------------------------------
+    // Blocks
+    // ------------------------------------------------------------------
+
+    /// Free the slots `mask` of word `w` of block `b` into its bitmap,
+    /// and queue the block if that leaves it idle and a quarter free.
+    /// The slots' generations are already bumped and their values gone.
+    fn free_bits(&self, b: u32, w: usize, mask: u64) {
+        let block = self.block(b);
+        // Releases the slots: a claimer that takes a bit reads the
+        // slot's metadata as this thread left it.
+        block.free[w].fetch_or(mask, Ordering::SeqCst);
+        if block.state.load(Ordering::SeqCst) == IDLE && block.free_count() >= RECYCLE_AT {
+            self.queue(b);
+        }
+    }
+
+    /// Free slot `id`, whose generation is bumped and value gone, into
+    /// its block's bitmap.
+    fn spill(&self, id: NodeId) {
+        let i = id.0 as u64;
+        self.free_bits(
+            (i / BLOCK) as u32,
+            ((i % BLOCK) / 64) as usize,
+            1 << (i % 64),
+        );
+    }
+
+    /// Queue block `b` on the recyclable stack unless another thread
+    /// already holds it.
+    fn queue(&self, b: u32) {
+        let block = self.block(b);
+        if block
+            .state
+            .compare_exchange(IDLE, HELD, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
+        }
         loop {
-            let cursor = cur & LOW_MASK;
-            let end = cur >> 32;
-            if cursor >= end {
-                return None;
-            }
-            match shard.fresh.compare_exchange_weak(
-                cur,
-                (end << 32) | (cursor + 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(NodeId(cursor as u32)),
-                Err(now) => cur = now,
+            let head = self.recyclable.load(Ordering::Acquire);
+            block
+                .link
+                .store((head & LOW_MASK) as u32, Ordering::Relaxed);
+            let new_head = (((head >> 32) + 1) << 32) | b as u64;
+            if self
+                .recyclable
+                .compare_exchange_weak(head, new_head, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return;
             }
         }
     }
 
-    /// Steal a recycled slot from any sibling shard's freelist.
-    fn steal(&self, ctx: AllocCtx) -> Option<NodeId> {
-        let own = (ctx.shard & self.shard_mask) as usize;
-        let n = self.shards.len();
-        for i in 1..n {
-            let sibling = &self.shards[(own + i) & self.shard_mask as usize];
-            if let Some(id) = self.pop_free(sibling) {
-                return Some(id);
+    /// Pop a recyclable block; the caller owns it until [`Arena::release`].
+    fn pop_block(&self) -> Option<u32> {
+        loop {
+            let head = self.recyclable.load(Ordering::Acquire);
+            let b = (head & LOW_MASK) as u32;
+            if b == NIL {
+                return None;
+            }
+            let next = self.block(b).link.load(Ordering::Relaxed) as u64;
+            let new_head = (((head >> 32) + 1) << 32) | next;
+            if self
+                .recyclable
+                .compare_exchange_weak(head, new_head, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(b);
+            }
+        }
+    }
+
+    /// Give up ownership of block `b`: it turns idle, or is queued again
+    /// if a quarter of it is free. `SeqCst` pairs with [`Arena::free_bits`]
+    /// so a bit set while the block was owned is never stranded.
+    fn release(&self, b: u32) {
+        let block = self.block(b);
+        block.state.store(IDLE, Ordering::SeqCst);
+        if block.free_count() >= RECYCLE_AT {
+            self.queue(b);
+        }
+    }
+
+    /// Carve `n` never-used ids from the global cursor, exposing their
+    /// slots and blocks.
+    fn carve(&self, n: u64) -> std::ops::Range<u64> {
+        let start = self.next_fresh.fetch_add(n, Ordering::Relaxed);
+        self.expose(start + n);
+        start..start + n
+    }
+
+    /// Make every id below `end`, and its block, accessible.
+    fn expose(&self, end: u64) {
+        assert!(end <= Self::capacity(), "arena capacity exhausted");
+        self.pages.expose(end as usize * size_of::<Slot<T>>());
+        self.blocks
+            .expose(end.div_ceil(BLOCK) as usize * size_of::<Block>());
+    }
+
+    /// Carve the rest of the block the global cursor is in. If that is
+    /// a whole block, no one else has seen it: it comes back owned, with
+    /// every bit set. Otherwise a [`Run`] carved its head, and the tail
+    /// is freed into its bitmap like any free (`None`).
+    fn carve_block(&self) -> Option<u32> {
+        let mut start = self.next_fresh.load(Ordering::Relaxed);
+        let end = loop {
+            assert!(start < Self::capacity(), "arena capacity exhausted");
+            let end = ((start / BLOCK + 1) * BLOCK).min(Self::capacity());
+            match self.next_fresh.compare_exchange_weak(
+                start,
+                end,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break end,
+                Err(now) => start = now,
+            }
+        };
+        self.expose(end);
+        let b = start / BLOCK;
+        let block = self.block(b as u32);
+        if start.is_multiple_of(BLOCK) {
+            // The installing CAS on a shard cursor, or the stack push of
+            // a lost install, publishes these plain stores.
+            block.state.store(HELD, Ordering::Relaxed);
+            for (w, word) in block.free.iter().enumerate() {
+                word.store(range_mask(b, w, start, end), Ordering::Relaxed);
+            }
+            return Some(b as u32);
+        }
+        for w in 0..WORDS {
+            let mask = range_mask(b, w, start, end);
+            if mask != 0 {
+                self.free_bits(b as u32, w, mask);
             }
         }
         None
     }
 
-    /// Carve a new fresh block from the global cursor into the shard's
-    /// window and return its first id. The per-shard refill lock makes
-    /// the carve-and-install atomic so a lost race cannot leak a block;
-    /// refills happen once per `FRESH_BLOCK` fresh allocations.
-    fn refill_fresh(&self, shard: &Shard) -> NodeId {
+    /// Take the lowest free slot at or after `shard`'s cursor, moving on
+    /// through recyclable and freshly carved blocks as each runs dry.
+    fn claim(&self, shard: &Shard) -> NodeId {
         loop {
-            if let Some(id) = self.pop_fresh(shard) {
-                return id;
-            }
-            if shard
-                .refill_lock
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // Re-check: a refill may have landed while we raced.
-                if let Some(id) = self.pop_fresh(shard) {
-                    shard.refill_lock.store(false, Ordering::Release);
-                    return id;
+            let cur = shard.cursor.load(Ordering::Acquire);
+            let (b, w) = ((cur >> 32) as u32, (cur & LOW_MASK) as usize);
+            if b == NIL {
+                let Some(next) = self.pop_block().or_else(|| self.carve_block()) else {
+                    continue;
+                };
+                let installed = shard.cursor.compare_exchange(
+                    cur,
+                    (next as u64) << 32,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                );
+                if installed.is_err() {
+                    // Another thread of this shard installed one first.
+                    self.release(next);
                 }
-                let start = self.next_fresh.fetch_add(FRESH_BLOCK, Ordering::Relaxed);
-                assert!(start < Self::capacity(), "arena capacity exhausted");
-                let end = (start + FRESH_BLOCK).min(Self::capacity());
-                self.pages.expose(end as usize * size_of::<Slot<T>>());
-                // Poppers only CAS a non-empty window, so a plain store
-                // cannot clobber a concurrent hand-out.
-                shard
-                    .fresh
-                    .store((end << 32) | (start + 1), Ordering::Release);
-                shard.refill_lock.store(false, Ordering::Release);
-                return NodeId(start as u32);
+                continue;
             }
-            std::hint::spin_loop();
+            if w == WORDS {
+                // Only the thread that clears the cursor releases `b`.
+                if shard
+                    .cursor
+                    .compare_exchange(cur, NO_BLOCK, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    self.release(b);
+                }
+                continue;
+            }
+            let word = &self.block(b).free[w];
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                // `Acquire`: pairs with the free that set the bit.
+                bits = word.fetch_and(!bit, Ordering::Acquire);
+                if bits & bit != 0 {
+                    let id = b as u64 * BLOCK + w as u64 * 64 + bit.trailing_zeros() as u64;
+                    return NodeId(id as u32);
+                }
+            }
+            let _ =
+                shard
+                    .cursor
+                    .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed);
+        }
+    }
+
+    /// Move up to `want - out.len()` free slots of block `b`, which the
+    /// caller owns, from its bitmap into `out`, in address order.
+    fn take_bits(&self, b: u32, want: usize, out: &mut Vec<NodeId>) {
+        for (w, word) in self.block(b).free.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != 0 && out.len() < want {
+                let mut take = bits;
+                for _ in want - out.len()..take.count_ones() as usize {
+                    take &= !(1 << (63 - take.leading_zeros()));
+                }
+                // Only set bits are taken: a thread of a shard that
+                // owned `b` before may still be claiming from it.
+                let old = word.fetch_and(!take, Ordering::Acquire);
+                let mut got = old & take;
+                while got != 0 {
+                    let bit = got.trailing_zeros() as u64;
+                    out.push(NodeId((b as u64 * BLOCK + w as u64 * 64 + bit) as u32));
+                    got &= got - 1;
+                }
+                bits = old & !take;
+            }
         }
     }
 
@@ -554,19 +834,22 @@ impl<T: Tuple> Arena<T> {
     /// [`Arena::alloc`] through an explicit shard context.
     pub fn alloc_in(&self, ctx: AllocCtx, value: T) -> NodeId {
         let shard = self.shard(ctx);
-        let id = self
-            .pop_free(shard)
-            .or_else(|| self.pop_fresh(shard))
-            .or_else(|| self.steal(ctx))
-            .unwrap_or_else(|| self.refill_fresh(shard));
+        let id = match self.pop_free(shard) {
+            Some(id) => {
+                shard.popped.fetch_add(1, Ordering::Relaxed);
+                id
+            }
+            None => {
+                shard.claimed.fetch_add(1, Ordering::Relaxed);
+                self.claim(shard)
+            }
+        };
         self.publish(id, value);
-        shard.allocated.fetch_add(1, Ordering::Relaxed);
         id
     }
 
     /// Write `value` into the free slot `id`, which the caller owns (it
-    /// is on no freelist and in no fresh window), and publish it with
-    /// count 1.
+    /// is on no cache and in no bitmap), and publish it with count 1.
     #[inline]
     fn publish(&self, id: NodeId, value: T) {
         let slot = self.slot(id);
@@ -585,12 +868,13 @@ impl<T: Tuple> Arena<T> {
     /// at once; `f` then publishes each slot with [`Run::fill`], a plain
     /// value write and one `Release` store, with no CAS and no counter.
     ///
-    /// Recycled slots come first: this shard's freelist, then each
-    /// sibling's, each taken whole with one tagged CAS and its unused
-    /// remainder handed back with one more. Only what they lack is
-    /// carved from the global fresh cursor, as one range. So a fresh
-    /// arena fills ids `start..start + n` in order, and a build-heavy
-    /// steady state reuses what it frees instead of growing the arena.
+    /// Recycled slots come first: this shard's cache, taken whole with
+    /// one tagged CAS and its unused remainder handed back with one
+    /// more, then the free bits of recyclable blocks in address order.
+    /// Only what they lack is carved from the global fresh cursor, as
+    /// one range. So a fresh arena fills ids `start..start + n` in order,
+    /// and a build-heavy steady state reuses what it frees instead of
+    /// growing the arena.
     ///
     /// Every slot of the run should be filled. One that is not — `f`
     /// panicked part-way, say — leaks: it stays counted in
@@ -598,37 +882,36 @@ impl<T: Tuple> Arena<T> {
     /// stays occupied and its value drops with the arena, once; an
     /// unfilled one reads as free, so nothing is dropped twice.
     pub fn run<R>(&self, n: usize, f: impl FnOnce(Run<'_, T>) -> R) -> R {
-        let ctx = self.ctx();
-        let own = (ctx.shard & self.shard_mask) as usize;
+        let shard = self.shard(self.ctx());
         let mut recycled = Vec::new();
-        for i in 0..self.shards.len() {
-            if recycled.len() == n {
-                break;
-            }
-            let shard = &self.shards[(own + i) & self.shard_mask as usize];
-            self.take_chain(shard, n, &mut recycled);
+        self.take_chain(shard, n, &mut recycled);
+        let cached = recycled.len();
+        while recycled.len() < n {
+            let Some(b) = self.pop_block() else { break };
+            self.take_bits(b, n, &mut recycled);
+            self.release(b);
         }
-        let mut fresh = 0..0;
-        let carve = (n - recycled.len()) as u64;
-        if carve > 0 {
-            let start = self.next_fresh.fetch_add(carve, Ordering::Relaxed);
-            let end = start + carve;
-            assert!(end <= Self::capacity(), "arena capacity exhausted");
-            self.pages.expose(end as usize * size_of::<Slot<T>>());
-            fresh = start as u32..end as u32;
+        let fresh = match (n - recycled.len()) as u64 {
+            0 => 0..0,
+            k => self.carve(k),
+        };
+        if cached > 0 {
+            shard.popped.fetch_add(cached as u64, Ordering::Relaxed);
         }
-        self.shard(ctx)
-            .allocated
-            .fetch_add(n as u64, Ordering::Relaxed);
+        if n > cached {
+            shard
+                .claimed
+                .fetch_add((n - cached) as u64, Ordering::Relaxed);
+        }
         f(Run {
             arena: self,
             recycled: &recycled,
-            fresh,
+            fresh: fresh.start as u32..fresh.end as u32,
         })
     }
 
-    /// Move recycled slots of `shard` into `out` until it holds `want`.
-    /// The whole freelist is taken with one tagged CAS and walked
+    /// Move cached slots of `shard` into `out` until it holds `want`.
+    /// The whole cache is taken with one tagged CAS and walked
     /// privately; an unused remainder goes back with [`Arena::give_back`].
     fn take_chain(&self, shard: &Shard, want: usize, out: &mut Vec<NodeId>) {
         let mut next = loop {
@@ -660,7 +943,7 @@ impl<T: Tuple> Arena<T> {
     }
 
     /// Return a privately held, `NIL`-terminated chain of free slots to
-    /// `shard`: one CAS while the freelist is still empty, else a walk to
+    /// `shard`: one CAS while the cache is still empty, else a walk to
     /// the chain's tail and a splice.
     fn give_back(&self, shard: &Shard, head: u32) {
         loop {
@@ -722,8 +1005,8 @@ impl<T: Tuple> Arena<T> {
     }
 
     /// Whether the slot is currently occupied.
-    #[inline]
-    pub fn is_occupied(&self, id: NodeId) -> bool {
+    #[cfg(test)]
+    fn is_occupied(&self, id: NodeId) -> bool {
         self.slot(id).meta.load(Ordering::Acquire) & OCCUPIED != 0
     }
 
@@ -773,8 +1056,7 @@ impl<T: Tuple> Arena<T> {
     }
 
     /// [`Arena::collect`] through an explicit shard context. Frees are
-    /// chained and spliced onto the shard freelist `FREE_BUF` at a
-    /// time, so a large precise collection performs `O(S / FREE_BUF)`
+    /// chained and spliced onto the shard's cache `FREE_BUF` at a time, so a large precise collection performs `O(S / FREE_BUF)`
     /// head CASes instead of `O(S)`.
     pub fn collect_in(&self, ctx: AllocCtx, root: NodeId) -> usize {
         if !self.release_ref(root) {
@@ -825,10 +1107,10 @@ impl<T: Tuple> Arena<T> {
             // destructor: if `drop` panics and unwinds past the splice
             // below, the slot — and its chained predecessors — read as
             // free, so `Arena::drop` cannot double-drop them (they leak
-            // off-freelist, which is safe; stacked dead tuples still
-            // read as occupied and are dropped with the arena). No other
-            // thread can observe this store: the slot is off every
-            // freelist and rc has reached zero.
+            // off every cache and bitmap, which is safe; stacked dead
+            // tuples still read as occupied and are dropped with the
+            // arena). No other thread can observe this store: the slot
+            // is on no cache or bitmap and rc has reached zero.
             slot.meta
                 .store((gen << GEN_SHIFT) | head as u64, Ordering::Relaxed);
             if chained == 0 {
@@ -849,17 +1131,38 @@ impl<T: Tuple> Arena<T> {
                 std::ptr::drop_in_place(value as *mut T);
             }
             if chained == FREE_BUF {
-                self.push_free_chain(shard, head, tail, tail_gen);
+                self.free_chain(shard, head, tail, tail_gen, chained);
                 (head, chained) = (NIL, 0);
             }
             freed += 1;
         }
         if chained > 0 {
-            self.push_free_chain(shard, head, tail, tail_gen);
+            self.free_chain(shard, head, tail, tail_gen, chained);
         }
         DEAD_STACK.set(dead);
-        shard.freed.fetch_add(freed as u64, Ordering::Relaxed);
         freed
+    }
+
+    /// Free a private chain of `len` slots (see [`Arena::free_dead`]):
+    /// onto the shard's cache while it holds fewer than [`CACHE_CAP`],
+    /// else each into its block's bitmap.
+    fn free_chain(&self, shard: &Shard, head: u32, tail: u32, tail_gen: u64, len: usize) {
+        if shard.cached() < CACHE_CAP {
+            self.push_free_chain(shard, head, tail, tail_gen);
+            shard.pushed.fetch_add(len as u64, Ordering::Relaxed);
+            return;
+        }
+        // The chain is still this thread's alone, `NIL`-terminated; a
+        // slot in a bitmap keeps only its generation.
+        let mut next = head;
+        while next != NIL {
+            let slot = self.slot(NodeId(next));
+            let meta = slot.meta.load(Ordering::Relaxed);
+            slot.meta.store(meta & GEN_MASK, Ordering::Relaxed);
+            self.spill(NodeId(next));
+            next = (meta & LOW_MASK) as u32;
+        }
+        shard.spilled.fetch_add(len as u64, Ordering::Relaxed);
     }
 
     /// Destructure an exclusively-owned tuple: free the slot and return the
@@ -882,8 +1185,9 @@ impl<T: Tuple> Arena<T> {
         // other thread can read or modify this slot.
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         let gen = ((meta & GEN_MASK) >> GEN_SHIFT).wrapping_add(1) & (GEN_MASK >> GEN_SHIFT);
-        self.push_free_chain(shard, id.0, id.0, gen);
-        shard.freed.fetch_add(1, Ordering::Relaxed);
+        slot.meta
+            .store((gen << GEN_SHIFT) | NIL as u64, Ordering::Relaxed);
+        self.free_chain(shard, id.0, id.0, gen, 1);
         value
     }
 
@@ -910,7 +1214,7 @@ impl<T: Tuple> Arena<T> {
     pub fn allocated_total(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.allocated.load(Ordering::Relaxed))
+            .map(|s| s.popped.load(Ordering::Relaxed) + s.claimed.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -918,7 +1222,7 @@ impl<T: Tuple> Arena<T> {
     pub fn freed_total(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.freed.load(Ordering::Relaxed))
+            .map(|s| s.pushed.load(Ordering::Relaxed) + s.spilled.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -1261,7 +1565,7 @@ mod tests {
             .collect();
         assert_eq!(arena.pages.base().as_ptr() as usize % pages::HUGE_PAGE, 0);
         let slots = arena.pages.accessible() / size_of::<Slot<Leaf<u64>>>();
-        assert!(slots >= FRESH_BLOCK as usize * arena.shards());
+        assert!(slots >= BLOCK as usize * arena.shards());
         let handed: std::collections::HashSet<u32> = ids.iter().map(|id| id.index()).collect();
         for i in (0..slots as u32).filter(|i| !handed.contains(i)) {
             assert_eq!(
@@ -1497,39 +1801,84 @@ mod tests {
         // fresh blocks.
         let a = arena.alloc_in(c0, Leaf(0));
         let b = arena.alloc_in(c1, Leaf(1));
-        assert_ne!(
-            a.index() / FRESH_BLOCK as u32,
-            b.index() / FRESH_BLOCK as u32
-        );
+        assert_ne!(a.index() / BLOCK as u32, b.index() / BLOCK as u32);
         arena.collect_in(c0, a);
         arena.collect_in(c1, b);
         assert_eq!(arena.live(), 0);
     }
 
+    /// Blocks on the recyclable stack (quiescent arenas only).
+    fn queued<T: Tuple>(arena: &Arena<T>) -> u64 {
+        let (mut b, mut n) = (
+            (arena.recyclable.load(Ordering::Acquire) & LOW_MASK) as u32,
+            0,
+        );
+        while b != NIL {
+            n += 1;
+            b = arena.block(b).link.load(Ordering::Relaxed);
+        }
+        n
+    }
+
+    /// The module docs' footprint bound, read off a quiescent arena.
+    fn footprint_bound<T: Tuple>(arena: &Arena<T>) -> u64 {
+        let cached: u64 = arena.shards.iter().map(|s| s.cached()).sum();
+        (4 * (arena.live() + cached)).div_ceil(3)
+            + (arena.shards() as u64 + queued(arena) + 1) * BLOCK
+    }
+
+    /// Allocate `CACHE_CAP + BLOCK` slots on `ctx`, whose cache and
+    /// cursor are empty while the global cursor is block-aligned, and
+    /// free them there: the last `CACHE_CAP` fill its cache, then the
+    /// first block's slots `order` (indices into it) spill, in that
+    /// order, into its bitmap. Returns that block's ids.
+    fn spill_first_block(
+        arena: &Arena<Leaf<u64>>,
+        ctx: AllocCtx,
+        order: impl IntoIterator<Item = usize>,
+    ) -> Vec<NodeId> {
+        let n = (CACHE_CAP + BLOCK) as usize;
+        let ids: Vec<_> = (0..n)
+            .map(|i| arena.alloc_in(ctx, Leaf(i as u64)))
+            .collect();
+        let first = ids[0].index();
+        assert_eq!(first as u64 % BLOCK, 0);
+        assert!(ids[..BLOCK as usize]
+            .iter()
+            .zip(first..)
+            .all(|(id, i)| id.index() == i));
+        for &id in &ids[BLOCK as usize..] {
+            arena.collect_in(ctx, id);
+        }
+        assert_eq!(arena.shard(ctx).cached(), CACHE_CAP, "a full cache");
+        for i in order {
+            arena.collect_in(ctx, ids[i]);
+        }
+        ids[..BLOCK as usize].to_vec()
+    }
+
     #[test]
-    fn stealing_recycles_sibling_free_slots() {
+    fn slots_freed_on_another_shard_come_back_within_the_bound() {
         let arena: Arena<Leaf<u64>> = Arena::with_shards(2);
-        let c0 = arena.ctx_for(0);
-        let c1 = arena.ctx_for(1);
-        // Free a slot into shard 1's freelist.
-        let a = arena.alloc_in(c1, Leaf(7));
-        arena.collect_in(c1, a);
-        // Shard 0 has an empty freelist and has never opened a fresh
-        // window, so (steal preceding refill) its very next allocation
-        // should recover `a` from shard 1; the loop tolerates any
-        // ordering as long as the slot comes back eventually.
+        let (c0, c1) = (arena.ctx_for(0), arena.ctx_for(1));
+        // Shard 1's cache is full, so its frees of a whole block spill
+        // into the block's bitmap, and the block is queued.
+        let block = spill_first_block(&arena, c1, 0..BLOCK as usize);
+        assert_eq!(queued(&arena), 1);
+        let a = block[100];
+        // Shard 0 has never allocated: its cache and cursor are empty.
+        // It gets `a` back before the arena carves a single id.
+        let carved = arena.stats().carved;
         let mut drained = Vec::new();
         loop {
             let id = arena.alloc_in(c0, Leaf(0));
+            assert_eq!(arena.stats().carved, carved, "carved before reusing {a:?}");
+            assert!(arena.stats().carved <= footprint_bound(&arena));
             if id == a {
-                // Got the stolen slot back.
                 break;
             }
             drained.push(id);
-            assert!(
-                drained.len() <= 2 * FRESH_BLOCK as usize,
-                "never stole sibling's freed slot"
-            );
+            assert!(drained.len() < BLOCK as usize, "never reused {a:?}");
         }
         for id in drained {
             arena.collect_in(c0, id);
@@ -1539,14 +1888,145 @@ mod tests {
     }
 
     #[test]
+    fn a_recycled_block_is_allocated_in_address_order() {
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(2);
+        let (c0, c1) = (arena.ctx_for(0), arena.ctx_for(1));
+        // Free the block in a scrambled order: a stride coprime to it.
+        let order = (0..BLOCK as usize).map(|i| (i * 97 + 13) % BLOCK as usize);
+        let block = spill_first_block(&arena, c1, order);
+        let carved = arena.stats().carved;
+        let ids: Vec<_> = (0..BLOCK).map(|i| arena.alloc_in(c0, Leaf(i))).collect();
+        assert_eq!(ids, block, "a recycled block hands out ascending ids");
+        assert_eq!(arena.stats().carved, carved);
+    }
+
+    #[test]
+    fn a_slot_reused_through_a_bitmap_carries_a_bumped_generation() {
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(2);
+        let (c0, c1) = (arena.ctx_for(0), arena.ctx_for(1));
+        let n = (CACHE_CAP + BLOCK) as usize;
+        let ids: Vec<_> = (0..n).map(|i| arena.alloc_in(c1, Leaf(i as u64))).collect();
+        let gens: Vec<u32> = ids.iter().map(|&id| arena.generation(id)).collect();
+        for &id in ids[BLOCK as usize..].iter().chain(&ids[..BLOCK as usize]) {
+            arena.collect_in(c1, id);
+        }
+        for (i, &old) in ids[..BLOCK as usize].iter().enumerate() {
+            let id = arena.alloc_in(c0, Leaf(7));
+            assert_eq!(id, old, "reused through the bitmap, in order");
+            assert_eq!(
+                arena.generation(id),
+                gens[i] + 1,
+                "stale {old:?} stays detectable"
+            );
+            assert_eq!(arena.get(id).0, 7);
+        }
+    }
+
+    /// A complete tree of `Pair`s with `depth` levels below the root.
+    fn full_tree(arena: &Arena<Pair>, ctx: AllocCtx, depth: u32) -> NodeId {
+        if depth == 0 {
+            return arena.alloc_in(
+                ctx,
+                Pair {
+                    left: OptNodeId::NONE,
+                    right: OptNodeId::NONE,
+                    payload: 0,
+                },
+            );
+        }
+        let left = OptNodeId::some(full_tree(arena, ctx, depth - 1));
+        let right = OptNodeId::some(full_tree(arena, ctx, depth - 1));
+        arena.alloc_in(
+            ctx,
+            Pair {
+                left,
+                right,
+                payload: 0,
+            },
+        )
+    }
+
+    /// Path-copy `root` down to leaf `leaf`, sharing every other subtree.
+    fn path_copy(
+        arena: &Arena<Pair>,
+        ctx: AllocCtx,
+        root: NodeId,
+        depth: u32,
+        leaf: u64,
+    ) -> NodeId {
+        if depth == 0 {
+            return arena.alloc_in(
+                ctx,
+                Pair {
+                    left: OptNodeId::NONE,
+                    right: OptNodeId::NONE,
+                    payload: leaf,
+                },
+            );
+        }
+        let node = arena.get(root);
+        let (mut left, mut right) = (node.left.unwrap(), node.right.unwrap());
+        if leaf >> (depth - 1) & 1 == 0 {
+            arena.inc(right);
+            left = path_copy(arena, ctx, left, depth - 1, leaf);
+        } else {
+            arena.inc(left);
+            right = path_copy(arena, ctx, right, depth - 1, leaf);
+        }
+        let (left, right) = (OptNodeId::some(left), OptNodeId::some(right));
+        arena.alloc_in(
+            ctx,
+            Pair {
+                left,
+                right,
+                payload: leaf,
+            },
+        )
+    }
+
+    #[test]
+    fn cross_shard_frees_keep_the_footprint_bounded() {
+        // A writer path-copies one leaf per write through shard 0; a
+        // reader, as the last releaser of each old version, frees the
+        // displaced path into shard 1 — the benchmark's snapshot reads.
+        let arena: Arena<Pair> = Arena::with_shards(2);
+        let (writer, reader) = (arena.ctx_for(0), arena.ctx_for(1));
+        let depth = 12;
+        let mut root = full_tree(&arena, writer, depth);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut marks = Vec::new();
+        for round in 1..=60_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let next = path_copy(&arena, writer, root, depth, rng % (1 << depth));
+            assert_eq!(arena.collect_in(reader, root), depth as usize + 1);
+            root = next;
+            if round % 1_000 == 0 {
+                let carved = arena.stats().carved;
+                let bound = footprint_bound(&arena);
+                assert!(
+                    carved <= bound,
+                    "round {round}: carved {carved} > bound {bound}"
+                );
+                marks.push(carved);
+            }
+        }
+        assert_eq!(arena.live(), (1 << (depth + 1)) - 1);
+        assert_eq!(marks[29], marks[59], "carved ids kept rising: {marks:?}");
+        arena.collect(root);
+        assert_eq!(arena.live(), 0);
+    }
+
+    #[test]
     fn pin_routes_allocations_to_one_shard() {
         let arena: Arena<Leaf<u64>> = Arena::with_shards(4);
         let ctx = arena.ctx_for(3);
         let ids: Vec<_> = arena.with_ctx(ctx, || (0..10).map(|i| arena.alloc(Leaf(i))).collect());
         // All ids come from one fresh block — proof they hit one shard.
-        let block = ids[0].index() / FRESH_BLOCK as u32;
+        let block = ids[0].index() / BLOCK as u32;
         for id in &ids {
-            assert_eq!(id.index() / FRESH_BLOCK as u32, block);
+            assert_eq!(id.index() / BLOCK as u32, block);
         }
         // The pin is gone after the scope; nested pins restore properly.
         let g1 = arena.pin(arena.ctx_for(1));
@@ -1669,44 +2149,39 @@ mod tests {
 
     #[test]
     fn a_run_takes_recycled_slots_before_carving() {
-        let arena: Arena<Leaf<u64>> = Arena::with_shards(4);
+        let arena: Arena<Leaf<u64>> = Arena::with_shards(2);
         let (own, sibling) = (arena.ctx_for(0), arena.ctx_for(1));
         let a: Vec<_> = (0..10).map(|i| arena.alloc_in(own, Leaf(i))).collect();
-        let b: Vec<_> = (0..10).map(|i| arena.alloc_in(sibling, Leaf(i))).collect();
-        let mut recycled = std::collections::BTreeSet::new();
+        // The sibling spills 100 slots of one block, scrambled: the block
+        // is queued as recyclable.
+        let block = spill_first_block(&arena, sibling, (0..100).map(|i| (i * 37) % 100));
+        let spilled = &block[..100];
         for &id in &a[..5] {
             arena.collect_in(own, id);
-            recycled.insert(id);
         }
-        for &id in &b[..6] {
-            arena.collect_in(sibling, id);
-            recycled.insert(id);
-        }
+        let recycled: Vec<NodeId> = a[..5].iter().chain(spilled).copied().collect();
         let before = arena.stats();
         let gens: Vec<u32> = recycled.iter().map(|&id| arena.generation(id)).collect();
         let ids: Vec<NodeId> = arena.with_ctx(own, || {
-            arena.run(15, |mut run| {
-                assert_eq!(run.len(), 15);
-                (0..15).map(|i| run.fill(Leaf(100 + i))).collect()
+            arena.run(109, |mut run| {
+                assert_eq!(run.len(), 109);
+                (0..109).map(|i| run.fill(Leaf(100 + i))).collect()
             })
         });
         let after = arena.stats();
-        // Own freelist first, then the sibling's, then one carved range.
-        let (taken, carved) = ids.split_at(11);
-        assert!(taken[..5].iter().all(|id| a[..5].contains(id)));
-        assert!(taken[5..].iter().all(|id| b[..6].contains(id)));
-        assert_eq!(
-            taken
-                .iter()
-                .copied()
-                .collect::<std::collections::BTreeSet<_>>(),
-            recycled
-        );
+        // Own cache first, then the recyclable block in address order,
+        // then one carved range.
+        let (cached, rest) = ids.split_at(5);
+        let (bits, carved) = rest.split_at(100);
+        let mut cached = cached.to_vec();
+        cached.sort();
+        assert_eq!(cached, a[..5]);
+        assert_eq!(bits, spilled);
         let start = before.carved as u32;
         assert_eq!(carved, (start..start + 4).map(NodeId).collect::<Vec<_>>());
         assert_eq!(after.carved, before.carved + 4);
-        assert_eq!(after.allocated_total, before.allocated_total + 15);
-        assert_eq!(after.live, before.live + 15);
+        assert_eq!(after.allocated_total, before.allocated_total + 109);
+        assert_eq!(after.live, before.live + 109);
         for (&id, gen) in recycled.iter().zip(gens) {
             assert_eq!(arena.generation(id), gen, "a run keeps the bumped tag");
         }
@@ -1715,7 +2190,7 @@ mod tests {
             assert_eq!(arena.rc(id), 1);
             arena.collect(id);
         }
-        assert_eq!(arena.live(), 9);
+        assert_eq!(arena.live(), 5 + BLOCK - 100);
     }
 
     #[test]

@@ -20,13 +20,15 @@
 //!   reservation is accessible, grown as fresh ids are carved; its zero
 //!   fill is the free state, so only slots handed out are ever faulted
 //!   in, and everything past its first 2 MiB is advised for transparent
-//!   huge pages. Freed slots recycle through **sharded** tagged Treiber
-//!   stacks: allocation and collection route through a per-thread (or
-//!   explicitly pinned, see [`AllocCtx`]) shard so concurrent writers do
-//!   not serialize on one freelist head, stealing from sibling shards
-//!   only when their own runs dry. A bulk build takes all its slots at
-//!   once as a [`Run`] ([`Arena::run`]): recycled slots first, the rest
-//!   carved as one range, each filled with plain stores.
+//!   huge pages. Allocation and collection route through a per-thread
+//!   (or explicitly pinned, see [`AllocCtx`]) **shard**, so concurrent
+//!   writers do not serialize on one freelist head. Each shard keeps a
+//!   small LIFO cache of the slots it freed; past that, freed slots go
+//!   back to their 256-slot **block**'s free bitmap, and a block a
+//!   quarter free is handed to the next shard that needs one, which
+//!   allocates from it in ascending id order. A bulk build takes all its
+//!   slots at once as a [`Run`] ([`Arena::run`]): recycled slots first,
+//!   the rest carved as one range, each filled with plain stores.
 //! * Per-slot atomic reference counts with an *ownership* convention:
 //!   `rc` equals the number of owners (parent tuples + external handles).
 //!   [`Arena::alloc`] returns a node owned by the caller (`rc == 1`);
@@ -61,9 +63,12 @@
 //! (a slot is the tuple and an 8-byte metadata word, padded to the
 //! tuple's alignment), whether it holds one tuple or four billion. At
 //! 48-byte slots that is 192 GiB, so a 47-bit (128 TiB) user address
-//! space fits about 680 live arenas. The reservation needs no memory
-//! and no commit charge, but a process limited by a small `ulimit -v`
-//! cannot build an arena at all: the reservation goes to
+//! space fits about 680 live arenas. Beside it each arena reserves a
+//! side array of 64 bytes per 256-slot block, the blocks' free bitmaps:
+//! 1 GiB of address space, exposed like the slots as blocks are carved,
+//! so it costs a quarter of a byte per slot. The reservations need no
+//! memory and no commit charge, but a process limited by a small
+//! `ulimit -v` cannot build an arena at all: the reservation goes to
 //! [`std::alloc::handle_alloc_error`].
 
 //! ## Example
